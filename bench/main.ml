@@ -222,17 +222,13 @@ type t3_row = {
   global : t3_cell;
   global_par : t3_cell;
   complete : t3_cell;
-  (* dantzig-pricing re-runs of the serial legs; paired with the devex
-     cells above they form the pricing_ab record in BENCH_lp.json *)
-  global_dz : t3_cell;
-  complete_dz : t3_cell;
-  (* root-cover-only re-runs (Solver.baseline_options: no lifted covers,
+  (* root-cover-only re-runs (Solver.cover_only: no lifted covers,
      no GMI, no aging, no node cuts, no diving heuristic); paired with
      the full-pool cells above they form the cuts_ab record *)
   global_base : t3_cell;
   complete_base : t3_cell;
-  (* forced-kernel re-runs of the serial legs (--lu-kernel dense /
-     --lu-kernel sparse); paired they form the hypersparse_ab record.
+  (* forced-kernel re-runs of the serial legs (Lu.Dense / Lu.Sparse);
+     paired they form the hypersparse_ab record.
      The default legs above run [Auto], which at Table-3 sizes (m well
      below the floor) takes the dense sweeps, so the A/B needs its own
      forced-Sparse leg to exercise the hypersparse kernel.  All kernels
@@ -301,54 +297,29 @@ let measure_table3 () =
   | Some rows -> rows
   | None ->
       let cap = quick_cap () in
-      let opts =
-        Mm_mapping.Mapper.options
-          ~solver_options:(Mm_lp.Solver.quick_options ~time_limit:cap ())
+      let solver ?parallelism ?lu_kernel () =
+        Mm_lp.Solver.options
+          ~bb:
+            (Mm_lp.Branch_bound.options ~time_limit:cap ?parallelism
+               ?lu_kernel ())
           ()
       in
-      (* identical budget with the full-scan dantzig baseline pricing;
-         the default legs above run devex *)
-      let opts_dz =
-        Mm_mapping.Mapper.options
-          ~solver_options:
-            (Mm_lp.Solver.quick_options ~time_limit:cap
-               ~pricing:Mm_lp.Simplex.Dantzig ())
-          ()
+      let mapper solver_options =
+        Mm_mapping.Mapper.options ~solver_options ()
       in
+      let opts = mapper (solver ()) in
       (* identical budget under the pre-pool cut configuration: knapsack
          covers at the root only, no heuristics — the other arm of the
          cuts_ab record (the default legs run the full pool) *)
-      let opts_base =
-        Mm_mapping.Mapper.options
-          ~solver_options:(Mm_lp.Solver.baseline_options ~time_limit:cap ())
-          ()
-      in
+      let opts_base = mapper (Mm_lp.Solver.cover_only (solver ())) in
       (* identical budget with each FTRAN/BTRAN kernel forced: the two
          arms of the hypersparse_ab record (the default legs above run
          [Auto], which is dense at these basis sizes) *)
-      let opts_dlu =
-        Mm_mapping.Mapper.options
-          ~solver_options:
-            (Mm_lp.Solver.quick_options ~time_limit:cap
-               ~lu_kernel:Mm_lp.Lu.Dense ())
-          ()
-      in
-      let opts_slu =
-        Mm_mapping.Mapper.options
-          ~solver_options:
-            (Mm_lp.Solver.quick_options ~time_limit:cap
-               ~lu_kernel:Mm_lp.Lu.Sparse ())
-          ()
-      in
+      let opts_dlu = mapper (solver ~lu_kernel:Mm_lp.Lu.Dense ()) in
+      let opts_slu = mapper (solver ~lu_kernel:Mm_lp.Lu.Sparse ()) in
       (* same budget, [bench_parallelism] worker domains; the serial leg
          stays the recorded baseline *)
-      let opts_par =
-        Mm_mapping.Mapper.options
-          ~solver_options:
-            (Mm_lp.Solver.quick_options ~time_limit:cap
-               ~parallelism:bench_parallelism ())
-          ()
-      in
+      let opts_par = mapper (solver ~parallelism:bench_parallelism ()) in
       let measure_global options board design =
         let t0 = Unix.gettimeofday () in
         match Mm_mapping.Mapper.run ~options board design with
@@ -387,8 +358,6 @@ let measure_table3 () =
               | Error _ -> failed_cell (Unix.gettimeofday () -. t0)
             in
             let complete = measure_complete opts in
-            let global_dz = measure_global opts_dz board design in
-            let complete_dz = measure_complete opts_dz in
             let global_base = measure_global opts_base board design in
             let complete_base = measure_complete opts_base in
             let global_dlu = measure_global opts_dlu board design in
@@ -420,20 +389,6 @@ let measure_table3 () =
                 ("complete-auto", complete, complete_dlu);
               ];
             List.iter
-              (fun (leg, dx, dz) ->
-                match (dx, dz) with
-                | Some a, Some b when Float.abs (a -. b) > 1e-6 ->
-                    Printf.eprintf
-                      "table3: WARNING %s devex/dantzig objective mismatch \
-                       (%g vs %g)\n\
-                       %!"
-                      leg a b
-                | _ -> ())
-              [
-                ("global", global.objective, global_dz.objective);
-                ("complete", complete.objective, complete_dz.objective);
-              ];
-            List.iter
               (fun (leg, full, base) ->
                 match (full, base) with
                 | Some a, Some b when Float.abs (a -. b) > 1e-6 ->
@@ -450,10 +405,8 @@ let measure_table3 () =
             let traced =
               let tr = Mm_obs.Trace.create () in
               let opts_tr =
-                Mm_mapping.Mapper.options
-                  ~solver_options:
-                    (Mm_lp.Solver.quick_options ~time_limit:cap ())
-                  ~trace:tr ()
+                Mm_mapping.Mapper.options ~solver_options:(solver ()) ~trace:tr
+                  ()
               in
               let t0 = Unix.gettimeofday () in
               (match Mm_mapping.Mapper.run ~options:opts_tr board design with
@@ -482,9 +435,8 @@ let measure_table3 () =
               in
               { traced_seconds; phases; counters }
             in
-            { point; global; global_par; complete; global_dz; complete_dz;
-              global_base; complete_base; global_dlu; complete_dlu;
-              global_slu; complete_slu; traced })
+            { point; global; global_par; complete; global_base; complete_base;
+              global_dlu; complete_dlu; global_slu; complete_slu; traced })
           Mm_workload.Table3.points
       in
       table3_cache := Some rows;
@@ -509,35 +461,8 @@ let dense_baseline =
     (61.433, false, None);
   ]
 
-(* Dantzig-vs-devex A/B record for one formulation: both measurements
-   plus the headline pivot reduction (null unless both legs proved
-   optimality with matching objectives). *)
-let pricing_pair ~dantzig ~devex =
-  let num v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let opt_num = function Some v -> num v | None -> "null" in
-  let leg c =
-    Printf.sprintf
-      "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s, \"pivots\": %d }"
-      (num c.seconds) c.optimal (opt_num c.objective) c.pivots
-  in
-  let reduction =
-    match (dantzig.objective, devex.objective) with
-    | Some a, Some b
-      when dantzig.optimal && devex.optimal
-           && Float.abs (a -. b) <= 1e-6
-           && dantzig.pivots > 0 ->
-        Printf.sprintf "%.2f"
-          (100.0
-          *. float_of_int (dantzig.pivots - devex.pivots)
-          /. float_of_int dantzig.pivots)
-    | _ -> "null"
-  in
-  Printf.sprintf
-    "{ \"dantzig\": %s, \"devex\": %s, \"pivot_reduction_pct\": %s }"
-    (leg dantzig) (leg devex) reduction
-
 (* Cut-subsystem A/B record for one formulation: the root-cover-only
-   configuration (Solver.baseline_options, the pre-pool behavior) against
+   configuration (Solver.cover_only, the pre-pool behavior) against
    the full pool — lifted covers, GMI, aging, node separation and the
    GUB diving heuristic.  The headline node reduction is null unless
    both arms proved optimality with matching objectives. *)
@@ -659,12 +584,6 @@ let write_bench_json rows =
           "{ \"seconds\": %s, \"phases\": { %s }, \"counters\": { %s } }"
           (num r.traced.traced_seconds) phases counters
       in
-      let pricing_ab =
-        Printf.sprintf
-          "{ \"complete\": %s, \"global\": %s }"
-          (pricing_pair ~dantzig:r.complete_dz ~devex:r.complete)
-          (pricing_pair ~dantzig:r.global_dz ~devex:r.global)
-      in
       let cuts_ab =
         Printf.sprintf
           "{ \"complete\": %s, \"global\": %s }"
@@ -684,14 +603,13 @@ let write_bench_json rows =
            \      \"global\": %s,\n\
            \      \"global_parallel\": %s,\n\
            \      \"global_traced\": %s,\n\
-           \      \"pricing_ab\": %s,\n\
            \      \"cuts_ab\": %s,\n\
            \      \"hypersparse_ab\": %s,\n\
            \      \"complete_dense_baseline_60s\": %s }%s\n"
            spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks
            spec.Mm_workload.Gen.ports spec.Mm_workload.Gen.configs
            (cell r.complete) (cell r.global) (par_cell r.global_par) traced
-           pricing_ab cuts_ab hypersparse_ab dense
+           cuts_ab hypersparse_ab dense
            (if i < List.length rows - 1 then "," else ""))
     )
     rows;
@@ -772,42 +690,6 @@ let run_table3 () =
         ])
     rows;
   Table.print t;
-  line "";
-  line "Pricing A/B (serial legs, same budget; pivots incl. bound flips):";
-  let pt =
-    Table.create
-      [
-        ("#segs", Table.Right);
-        ("complete dantzig", Table.Right);
-        ("complete devex", Table.Right);
-        ("reduction", Table.Right);
-        ("global dantzig", Table.Right);
-        ("global devex", Table.Right);
-      ]
-  in
-  List.iter
-    (fun r ->
-      let reduction =
-        if r.complete_dz.optimal && r.complete.optimal
-           && r.complete_dz.pivots > 0
-        then
-          Printf.sprintf "%.0f%%"
-            (100.0
-            *. float_of_int (r.complete_dz.pivots - r.complete.pivots)
-            /. float_of_int r.complete_dz.pivots)
-        else "-"
-      in
-      Table.add_row pt
-        [
-          string_of_int r.point.Mm_workload.Table3.spec.Mm_workload.Gen.segments;
-          string_of_int r.complete_dz.pivots;
-          string_of_int r.complete.pivots;
-          reduction;
-          string_of_int r.global_dz.pivots;
-          string_of_int r.global.pivots;
-        ])
-    rows;
-  Table.print pt;
   line "";
   line "Cuts A/B, complete formulation (cover-only root vs full pool +";
   line "node cuts + GUB diving; same budget, serial):";
@@ -930,7 +812,9 @@ let run_ablation_link () =
       ]
   in
   let cap = if !full_mode then 300.0 else 30.0 in
-  let opts = Mm_lp.Solver.quick_options ~time_limit:cap () in
+  let opts =
+    Mm_lp.Solver.options ~bb:(Mm_lp.Branch_bound.options ~time_limit:cap ()) ()
+  in
   List.iteri
     (fun i (point : Mm_workload.Table3.point) ->
       if i < 2 then begin
@@ -1286,118 +1170,6 @@ let run_ablation_arbitration () =
   line "the paper's model must spill entire phases to off-chip SRAM."
 
 (* ------------------------------------------------------------------ *)
-(* Pricing smoke (CI leg)                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* One small Table-3 point under both pricing strategies, recorded as a
-   minimal BENCH_lp.json. Exits nonzero when devex and dantzig prove
-   different objectives — the CI guard for the pricing engine. Not part
-   of the default experiment set (it would overwrite the full sweep's
-   BENCH_lp.json); run it by name. *)
-let run_pricing_smoke () =
-  header "Pricing smoke: Table-3 point 0, dantzig vs devex";
-  let point = List.hd Mm_workload.Table3.points in
-  let spec = point.Mm_workload.Table3.spec in
-  let board, design = Mm_workload.Gen.instance spec in
-  let cap = quick_cap () in
-  let measure method_ pricing =
-    let opts =
-      Mm_mapping.Mapper.options
-        ~solver_options:
-          (Mm_lp.Solver.quick_options ~time_limit:cap ~pricing ())
-        ()
-    in
-    let t0 = Unix.gettimeofday () in
-    match Mm_mapping.Mapper.run ~method_ ~options:opts board design with
-    | Ok o ->
-        cell_of_outcome
-          (o.Mm_mapping.Mapper.ilp_seconds
-          +. o.Mm_mapping.Mapper.detailed_seconds)
-          o
-    | Error _ -> failed_cell (Unix.gettimeofday () -. t0)
-  in
-  let results =
-    List.map
-      (fun (name, m) ->
-        (name, measure m Mm_lp.Simplex.Dantzig, measure m Mm_lp.Simplex.Devex))
-      [
-        ("global", Mm_mapping.Mapper.Global_detailed);
-        ("complete", Mm_mapping.Mapper.Complete_flat);
-      ]
-  in
-  let t =
-    Table.create
-      [
-        ("formulation", Table.Left);
-        ("pricing", Table.Left);
-        ("time (s)", Table.Right);
-        ("pivots", Table.Right);
-        ("objective", Table.Right);
-      ]
-  in
-  List.iter
-    (fun (name, dz, dx) ->
-      List.iter
-        (fun (pn, (c : t3_cell)) ->
-          Table.add_row t
-            [
-              name;
-              pn;
-              fmt_time c.seconds c.optimal;
-              string_of_int c.pivots;
-              (match c.objective with
-              | Some o -> Printf.sprintf "%.0f" o
-              | None -> "-");
-            ])
-        [ ("dantzig", dz); ("devex", dx) ])
-    results;
-  Table.print t;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "{\n  \"benchmark\": \"pricing smoke (table3 point 0)\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" cap);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"segments\": %d, \"banks\": %d, \"ports\": %d, \"configs\": %d,\n"
-       spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks
-       spec.Mm_workload.Gen.ports spec.Mm_workload.Gen.configs);
-  Buffer.add_string buf "  \"pricing_ab\": {\n";
-  List.iteri
-    (fun i (name, dz, dx) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %s%s\n" name
-           (pricing_pair ~dantzig:dz ~devex:dx)
-           (if i < List.length results - 1 then "," else "")))
-    results;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (pricing smoke)";
-  let mismatched =
-    List.filter
-      (fun ((_, dz, dx) : string * t3_cell * t3_cell) ->
-        match (dz.objective, dx.objective) with
-        | Some a, Some b -> Float.abs (a -. b) > 1e-6
-        | _ -> true)
-      results
-  in
-  if mismatched <> [] then begin
-    List.iter
-      (fun ((name, dz, dx) : string * t3_cell * t3_cell) ->
-        let obj = function
-          | Some o -> Printf.sprintf "%g" o
-          | None -> "none"
-        in
-        Printf.eprintf
-          "pricing-smoke: %s objective mismatch: dantzig %s vs devex %s\n"
-          name (obj dz.objective) (obj dx.objective))
-      mismatched;
-    exit 1
-  end
-  else line "devex and dantzig agree on every objective."
-
-(* ------------------------------------------------------------------ *)
 (* Cuts smoke (CI leg)                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1405,8 +1177,9 @@ let run_pricing_smoke () =
    heuristic versus the root-cover-only baseline, recorded as a minimal
    BENCH_lp.json. Exits nonzero when the two configurations prove
    different objectives — the CI guard for cut validity (an invalid cut
-   shows up as a changed optimum). Run-by-name only, like
-   pricing-smoke. *)
+   shows up as a changed optimum). Not part of the default experiment
+   set (it would overwrite the full sweep's BENCH_lp.json); run it by
+   name. *)
 let run_cuts_smoke () =
   header "Cuts smoke: Table-3 point 0, cover-only baseline vs full pool";
   let point = List.hd Mm_workload.Table3.points in
@@ -1424,12 +1197,13 @@ let run_cuts_smoke () =
           o
     | Error _ -> failed_cell (Unix.gettimeofday () -. t0)
   in
+  let full =
+    Mm_lp.Solver.options ~bb:(Mm_lp.Branch_bound.options ~time_limit:cap ()) ()
+  in
   let results =
     List.map
       (fun (name, m) ->
-        ( name,
-          measure m (Mm_lp.Solver.baseline_options ~time_limit:cap ()),
-          measure m (Mm_lp.Solver.quick_options ~time_limit:cap ()) ))
+        (name, measure m (Mm_lp.Solver.cover_only full), measure m full))
       [
         ("global", Mm_mapping.Mapper.Global_detailed);
         ("complete", Mm_mapping.Mapper.Complete_flat);
@@ -1943,11 +1717,14 @@ let run_scaling () =
         | Ok b ->
             let p = b.Mm_mapping.Global_ilp.problem in
             let model_seconds = Unix.gettimeofday () -. t0 in
-            let options =
-              Mm_lp.Solver.quick_options ~time_limit:cap
-                ~parallelism:bench_parallelism ()
+            let options ?lu_kernel () =
+              Mm_lp.Solver.options
+                ~bb:
+                  (Mm_lp.Branch_bound.options ~time_limit:cap
+                     ~parallelism:bench_parallelism ?lu_kernel ())
+                ()
             in
-            let r = Mm_lp.Solver.solve ~options p in
+            let r = Mm_lp.Solver.solve ~options:(options ()) p in
             let mip = r.Mm_lp.Solver.mip in
             (* dense-LU re-solve under the same budget: the scale-tier
                leg of the hypersparse A/B. The primary leg runs the
@@ -1955,11 +1732,10 @@ let run_scaling () =
                up (m >= 2048) and dense below — so this pair measures
                the hypersparse win exactly where production engages
                it, and reads ~1.0x on the small tiers. *)
-            let options_dlu =
-              Mm_lp.Solver.quick_options ~time_limit:cap
-                ~parallelism:bench_parallelism ~lu_kernel:Mm_lp.Lu.Dense ()
+            let rd =
+              Mm_lp.Solver.solve ~options:(options ~lu_kernel:Mm_lp.Lu.Dense ())
+                p
             in
-            let rd = Mm_lp.Solver.solve ~options:options_dlu p in
             (tier, p, model_seconds, r, mip, rd))
       tiers
   in
@@ -2207,7 +1983,6 @@ let experiments =
     ("ablation-overlap", run_ablation_overlap);
     ("ablation-portmodel", run_ablation_portmodel);
     ("ablation-arbitration", run_ablation_arbitration);
-    ("pricing-smoke", run_pricing_smoke);
     ("cuts-smoke", run_cuts_smoke);
     ("serve-smoke", run_serve_smoke);
     ("serve-batch-ab", run_serve_batch_ab);
@@ -2237,7 +2012,7 @@ let () =
            record *)
         List.filter
           (fun n ->
-            n <> "pricing-smoke" && n <> "cuts-smoke" && n <> "scaling"
+            n <> "cuts-smoke" && n <> "scaling"
             && n <> "serve-batch-ab")
           (List.map fst experiments)
     | names -> names

@@ -8,8 +8,8 @@
      devices   print the built-in device library (the paper's Table 1)
      example   write template board/design files to get started
 
-   The solver knobs (-j, --pricing, --cut-rounds, --max-cuts-per-round,
-   --no-cuts, --no-heuristics, --time-limit) live in Solver_flags and
+   The solver knobs (-j, --cut-rounds, --max-cuts-per-round, --no-cuts,
+   --no-heuristics, --time-limit) live in Solver_flags and
    are shared by solve, solve-mps and serve. *)
 
 open Cmdliner
@@ -731,7 +731,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Differential fuzzing of the MIP core: solve generated \
              instances under many solver configurations (parallelism, \
-             pricing, cuts, warm starts) plus a brute-force oracle on \
+             cuts, warm starts, LU kernels) plus a brute-force oracle on \
              small binary cases, and fail on any disagreement. Failing \
              cases are shrunk to minimal reproducers.")
     Term.(

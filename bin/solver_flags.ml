@@ -6,53 +6,29 @@
 
 open Cmdliner
 
+let default = Mm_service.Knobs.default
+
 let time_limit_arg =
-  Arg.(value & opt (some float) None & info [ "time-limit" ] ~docv:"SECONDS"
-         ~doc:"Wall-clock budget for each ILP solve.")
+  Arg.(value & opt (some float) default.time_limit & info [ "time-limit" ]
+         ~docv:"SECONDS" ~doc:"Wall-clock budget for each ILP solve.")
 
 let parallelism_arg =
-  Arg.(value & opt int 1 & info [ "j"; "parallelism" ] ~docv:"N"
+  Arg.(value & opt int default.parallelism & info [ "j"; "parallelism" ]
+         ~docv:"N"
          ~doc:"Worker domains for the branch-and-bound tree search. \
                $(b,1) (default) is the deterministic serial schedule; \
                $(b,0) uses all available cores. Any value proves the \
                same optimal objective.")
 
-let pricing_arg =
-  Arg.(value
-       & opt (enum [ ("devex", Mm_lp.Simplex.Devex);
-                     ("dantzig", Mm_lp.Simplex.Dantzig) ])
-           Mm_lp.Simplex.Devex
-       & info [ "pricing" ]
-           ~doc:"Simplex pricing strategy: $(b,devex) (default; reference \
-                 weights, partial pricing, bound flips) or $(b,dantzig) \
-                 (full-scan baseline). Both prove the same objective.")
-
-let lu_kernel_arg =
-  Arg.(value
-       & opt (enum
-              [
-                ("auto", Mm_lp.Lu.Auto);
-                ("sparse", Mm_lp.Lu.Sparse);
-                ("dense", Mm_lp.Lu.Dense);
-              ])
-           Mm_lp.Lu.Auto
-       & info [ "lu-kernel" ]
-           ~doc:"FTRAN/BTRAN triangular-solve kernel: $(b,auto) (default; \
-                 hypersparse symbolic-reachability solves on bases large \
-                 enough to profit, dense sweeps otherwise), $(b,sparse) \
-                 (hypersparse whenever the operand is sparse enough, \
-                 regardless of basis size) or $(b,dense) \
-                 (plain dense sweeps). Both follow the identical pivot \
-                 trajectory.")
-
 let cut_rounds_arg =
-  Arg.(value & opt int 3 & info [ "cut-rounds" ] ~docv:"N"
+  Arg.(value & opt int default.cut_rounds & info [ "cut-rounds" ] ~docv:"N"
          ~doc:"Root cutting-plane separation rounds ($(b,0) keeps the \
                solver cut-free at the root; node cuts may still fire).")
 
 let max_cuts_arg =
-  Arg.(value & opt int 50 & info [ "max-cuts-per-round" ] ~docv:"N"
-         ~doc:"Cap on cuts accepted per separation round.")
+  Arg.(value & opt int default.max_cuts_per_round
+       & info [ "max-cuts-per-round" ] ~docv:"N"
+           ~doc:"Cap on cuts accepted per separation round.")
 
 let no_cuts_arg =
   Arg.(value & flag & info [ "no-cuts" ]
@@ -64,16 +40,14 @@ let no_heuristics_arg =
                before the tree search.")
 
 let term : Mm_service.Knobs.t Term.t =
-  let make time_limit parallelism pricing lu_kernel cut_rounds
-      max_cuts_per_round no_cuts no_heuristics =
-    Mm_service.Knobs.make ~parallelism ~pricing ~lu_kernel ~cuts:(not no_cuts)
-      ~cut_rounds ~max_cuts_per_round ~heuristics:(not no_heuristics)
-      ?time_limit ()
+  let make time_limit parallelism cut_rounds max_cuts_per_round no_cuts
+      no_heuristics =
+    Mm_service.Knobs.make ~parallelism ~cuts:(not no_cuts) ~cut_rounds
+      ~max_cuts_per_round ~heuristics:(not no_heuristics) ?time_limit ()
   in
   Term.(
-    const make $ time_limit_arg $ parallelism_arg $ pricing_arg
-    $ lu_kernel_arg $ cut_rounds_arg $ max_cuts_arg $ no_cuts_arg
-    $ no_heuristics_arg)
+    const make $ time_limit_arg $ parallelism_arg $ cut_rounds_arg
+    $ max_cuts_arg $ no_cuts_arg $ no_heuristics_arg)
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"

@@ -3,8 +3,8 @@
     Every arm must prove the same objective and status on every
     instance; a disagreement between any arm and the reference is a
     solver bug by construction. The matrix spans [parallelism] (1, 2,
-    4), [pricing] (Devex, Dantzig), the cut configuration (full pool,
-    cuts off, pre-pool baseline), warm vs cold starts, and the LU
+    4), the cut configuration (full pool, cuts off, the
+    {!Mm_lp.Solver.cover_only} baseline), warm vs cold starts, and the LU
     triangular-solve kernel. Fuzz instances sit below the [Auto]
     kernel's size floor, so the forced-Sparse [-slu] arms are what
     exercises the hypersparse path and the forced-Dense [-dlu] arms
@@ -17,7 +17,6 @@ type cuts_mode = Full | Off | Baseline
 type t = {
   name : string;
   parallelism : int;
-  pricing : Mm_lp.Simplex.pricing;
   lu_kernel : Mm_lp.Lu.kernel;
       (** FTRAN/BTRAN kernel; forced-[Sparse] arms carry a [-slu] name
           suffix, forced-[Dense] arms [-dlu] *)
@@ -28,14 +27,14 @@ type t = {
 }
 
 val reference : t
-(** The anchor arm every other arm is compared against: serial, Devex,
-    full cut pool, cold. *)
+(** The anchor arm every other arm is compared against: serial, full
+    cut pool, cold — the production default. *)
 
 val matrix : t list
 (** The non-reference arms, in rotation order. A campaign runs the
     reference plus a per-case rotating subset, so all arms accumulate
     coverage across a few thousand cases without solving every instance
-    12 times. *)
+    under every arm. *)
 
 val solver_options : ?time_limit:float -> t -> Mm_lp.Solver.options
 

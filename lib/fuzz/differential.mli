@@ -5,8 +5,8 @@
     tractable), then every other arm must agree on status and objective.
     Any disagreement is returned as a {!failure} — by the solver's
     determinism contract (any parallelism proves the same objective;
-    cuts and pricing change the path, never the optimum) each one is a
-    real bug. *)
+    cuts, LU kernels and warm starts change the path, never the
+    optimum) each one is a real bug. *)
 
 type report = {
   skipped : bool;  (** descriptor did not materialize *)

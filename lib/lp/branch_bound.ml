@@ -11,7 +11,6 @@ type options = {
   int_tol : float;
   log_every : int option;
   parallelism : int;
-  pricing : Simplex.pricing;
   lu_kernel : Lu.kernel;
   trace : Mm_obs.Trace.t;
   node_cut_depth : int;
@@ -26,17 +25,18 @@ let default_options =
     int_tol = 1e-6;
     log_every = None;
     parallelism = 1;
-    pricing = Simplex.Devex;
     lu_kernel = Lu.Auto;
     trace = Mm_obs.Trace.disabled;
     node_cut_depth = 2;
     node_cut_freq = 4;
   }
 
-let options ?time_limit ?node_limit ?(gap_tol = 1e-9) ?(int_tol = 1e-6)
-    ?log_every ?(parallelism = 1) ?(pricing = Simplex.Devex)
-    ?(lu_kernel = Lu.Auto) ?(trace = Mm_obs.Trace.disabled)
-    ?(node_cut_depth = 2) ?(node_cut_freq = 4) () =
+let options ?time_limit ?node_limit ?(gap_tol = default_options.gap_tol)
+    ?(int_tol = default_options.int_tol) ?log_every
+    ?(parallelism = default_options.parallelism)
+    ?(lu_kernel = default_options.lu_kernel) ?(trace = default_options.trace)
+    ?(node_cut_depth = default_options.node_cut_depth)
+    ?(node_cut_freq = default_options.node_cut_freq) () =
   {
     time_limit;
     node_limit;
@@ -44,7 +44,6 @@ let options ?time_limit ?node_limit ?(gap_tol = 1e-9) ?(int_tol = 1e-6)
     int_tol;
     log_every;
     parallelism;
-    pricing;
     lu_kernel;
     trace;
     node_cut_depth;
@@ -397,7 +396,7 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
            strictly better than z*, so its bound is fixed for the
            whole tree — the fixings ride on every child's change list.
            Without an incumbent before the tree (e.g. under
-           [Solver.baseline_options]) this is a no-op. *)
+           [Solver.cover_only]) this is a no-op. *)
         let root_fixings =
           if nd.depth > 0 then []
           else begin
@@ -568,9 +567,7 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
     done
   in
   let make_workspace id =
-    let sx =
-      Simplex.create ~pricing:options.pricing ~lu_kernel:options.lu_kernel p
-    in
+    let sx = Simplex.create ~lu_kernel:options.lu_kernel p in
     Simplex.set_trace sx sinks.(id);
     {
       id;

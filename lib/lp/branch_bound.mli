@@ -39,18 +39,18 @@ type options = {
       (** worker domains for the tree search; 1 (default) is the
           deterministic serial schedule, [<= 0] asks the runtime for
           [Domain.recommended_domain_count ()] *)
-  pricing : Simplex.pricing;
-      (** pricing strategy for every per-domain simplex workspace,
-          default {!Simplex.Devex} *)
   lu_kernel : Lu.kernel;
-      (** triangular-solve kernel for every per-domain simplex
-          workspace, default {!Lu.Auto} (hypersparse on large bases
-          with automatic dense fallback); {!Lu.Sparse}/{!Lu.Dense}
-          force one path, for A/B runs *)
+      (** triangular-solve kernel for every simplex workspace of the
+          solve (per-domain tree workspaces, and through {!Solver} the
+          root cut loop and the diving heuristic), default {!Lu.Auto}
+          (hypersparse on large bases with automatic dense fallback).
+          {!Lu.Sparse}/{!Lu.Dense} force one path; they are test hooks
+          for differential checks and A/B runs, not user settings *)
   trace : Mm_obs.Trace.t;
       (** structured tracing (default disabled): each worker domain
           registers one sink and records node, incumbent, steal and
-          idle events plus pivot/refactorization latency histograms *)
+          idle events plus pivot/refactorization latency histograms;
+          {!Solver} records its phase spans on the same trace *)
   node_cut_depth : int;
       (** deepest node allowed to run a separation round (default 2 —
           shallow nodes reshape the whole subtree below them, while
@@ -71,7 +71,6 @@ val options :
   ?int_tol:float ->
   ?log_every:int ->
   ?parallelism:int ->
-  ?pricing:Simplex.pricing ->
   ?lu_kernel:Lu.kernel ->
   ?trace:Mm_obs.Trace.t ->
   ?node_cut_depth:int ->
@@ -79,9 +78,8 @@ val options :
   unit ->
   options
 (** Builder for {!options}; prefer this over record literals so new
-    fields stay non-breaking. Unset labels take the defaults of
-    {!default_options} (no limits, [gap_tol = 1e-9], [int_tol = 1e-6],
-    [parallelism = 1], Devex pricing, tracing disabled). *)
+    fields stay non-breaking. Unset labels take their values from
+    {!default_options}. *)
 
 type par_stats = {
   domains_used : int;  (** worker domains actually spawned *)

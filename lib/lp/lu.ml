@@ -33,17 +33,6 @@ exception Singular
 
 type kernel = Auto | Sparse | Dense
 
-let kernel_to_string = function
-  | Auto -> "auto"
-  | Sparse -> "sparse"
-  | Dense -> "dense"
-
-let kernel_of_string = function
-  | "auto" -> Some Auto
-  | "sparse" -> Some Sparse
-  | "dense" -> Some Dense
-  | _ -> None
-
 (* Below this basis dimension [Auto] never attempts a symbolic pass:
    a dense triangular sweep over a few thousand entries is cheap
    enough that the DFS + sort overhead is a net loss. Measured on Gen

@@ -37,10 +37,8 @@ type kernel = Auto | Sparse | Dense
         the symbolic pass whenever the operand density gate passes, for
         A/B measurement and differential testing of the kernel itself;
         [Dense] forces the plain dense sweeps. All three produce
-        bit-identical results and pivot trajectories. *)
-
-val kernel_to_string : kernel -> string
-val kernel_of_string : string -> kernel option
+        bit-identical results and pivot trajectories. [Sparse] and
+        [Dense] are test hooks, reachable only from code. *)
 
 type t
 

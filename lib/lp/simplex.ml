@@ -20,15 +20,15 @@
    infeasibility is non-increasing and no new infeasibilities are
    created.
 
-   Pricing is pluggable. The default is Devex reference-framework
-   pricing over a rotating candidate-list window: each iteration scans
-   only the window of nonbasic columns, scoring d^2/w with per-column
-   reference weights updated on every basis change, and runs a full
-   scan only when the window prices out (which is also the only place
-   optimality is declared). The dual method prices leaving rows with
-   dual Devex row weights, checked against the exact row norm from
-   {!Lu.btran_unit} and reset on drift. Full-scan Dantzig pricing is
-   kept as the comparison baseline. The ratio test is a Harris-style
+   Pricing is Devex reference-framework pricing over a rotating
+   candidate-list window: each iteration scans only the window of
+   nonbasic columns, scoring d^2/w with per-column reference weights
+   updated on every basis change, and runs a full scan only when the
+   window prices out (which is also the only place optimality is
+   declared). The dual method prices leaving rows with dual Devex row
+   weights, checked against the exact row norm from {!Lu.btran_unit}
+   and reset on drift. Long degenerate streaks fall back to Bland's
+   first-eligible full scan. The ratio test is a Harris-style
    two-pass: pass 1 finds the largest step with every blocking bound
    relaxed by [tols.harris], pass 2 picks the largest-magnitude pivot
    among blockers within that step; bounded columns whose opposite
@@ -36,14 +36,6 @@
    basis change. *)
 
 type result = Optimal | Infeasible | Unbounded | Iteration_limit
-type pricing = Dantzig | Devex
-
-let pricing_to_string = function Dantzig -> "dantzig" | Devex -> "devex"
-
-let pricing_of_string = function
-  | "dantzig" -> Some Dantzig
-  | "devex" -> Some Devex
-  | _ -> None
 
 (* Every numerical tolerance of the solver in one record, shared by the
    primal ratio test, the dual ratio test and the Harris passes (the
@@ -133,8 +125,6 @@ type t = {
   n : int;
   m : int;
   nt : int;
-  pricing : pricing;
-  lu_kernel : Lu.kernel;
   cost : float array;
   lb : float array;
   ub : float array;
@@ -240,7 +230,8 @@ let reset_to_slack_basis t =
   done
 
 let factor_current t =
-  Lu.factor ~kernel:t.lu_kernel ~m:t.m (fun k f -> col_iter t t.basis.(k) f)
+  Lu.factor ~kernel:(Lu.kernel t.lu) ~m:t.m (fun k f ->
+      col_iter t t.basis.(k) f)
 
 (* the Lu instance is replaced on every refactorization, so fold its
    solve counters into the accumulators before retiring it *)
@@ -266,7 +257,7 @@ let refactor t =
 
 let refactorize = refactor
 
-let create ?(pricing = Devex) ?(lu_kernel = Lu.Auto) p =
+let create ?(lu_kernel = Lu.Auto) p =
   let n = p.Problem.ncols and m = p.Problem.nrows in
   let nt = n + m in
   let lb = Array.make nt 0.0 and ub = Array.make nt 0.0 in
@@ -285,8 +276,6 @@ let create ?(pricing = Devex) ?(lu_kernel = Lu.Auto) p =
       n;
       m;
       nt;
-      pricing;
-      lu_kernel;
       cost;
       lb;
       ub;
@@ -344,7 +333,7 @@ let create ?(pricing = Devex) ?(lu_kernel = Lu.Auto) p =
 let create_from prev p' =
   if p'.Problem.ncols <> prev.n || p'.Problem.nrows < prev.m then
     invalid_arg "Simplex.create_from: not a row extension";
-  let t = create ~pricing:prev.pricing ~lu_kernel:prev.lu_kernel p' in
+  let t = create ~lu_kernel:(Lu.kernel prev.lu) p' in
   (* carry the previous instance's *current* bounds for the shared
      variables (structural and old slacks occupy the same indices). At
      the root cut loop these equal [p']'s bounds; a branch-and-bound
@@ -400,32 +389,17 @@ let eligibility t costs v =
         else if d > opt_tol then Some (-1.0, d)
         else None
 
-(* Full-scan pricing: Dantzig's most-negative reduced cost, or Bland's
-   first-eligible rule when [bland] (anti-cycling fallback for long
-   degenerate streaks under either strategy). *)
-let price_full t costs ~bland =
-  let best = ref (-1) and best_score = ref 0.0 and best_sigma = ref 1.0 in
-  (try
-     for v = 0 to t.nt - 1 do
-       match eligibility t costs v with
-       | None -> ()
-       | Some (sigma, d) ->
-           if bland then begin
-             best := v;
-             best_sigma := sigma;
-             raise Exit
-           end
-           else begin
-             let score = Float.abs d in
-             if score > !best_score then begin
-               best := v;
-               best_score := score;
-               best_sigma := sigma
-             end
-           end
-     done
-   with Exit -> ());
-  if !best < 0 then None else Some (!best, !best_sigma)
+(* Bland's first-eligible full scan: the anti-cycling fallback for long
+   degenerate streaks. *)
+let price_bland t costs =
+  let rec scan v =
+    if v >= t.nt then None
+    else
+      match eligibility t costs v with
+      | Some (sigma, _) -> Some (v, sigma)
+      | None -> scan (v + 1)
+  in
+  scan 0
 
 (* Devex pricing over the candidate window: re-price only the window,
    keep the members that still price out, and pick the best d^2/w
@@ -479,8 +453,7 @@ let price_devex t costs =
   end
 
 let price t costs ~bland =
-  if bland || t.pricing = Dantzig then price_full t costs ~bland
-  else price_devex t costs
+  if bland then price_bland t costs else price_devex t costs
 
 (* Primal Devex weight update for the pivot that makes [q] enter at
    basis position [ip] (called before the LU update, while [t.lu] still
@@ -607,7 +580,7 @@ let update_lu t ip =
 
 let do_pivot t q sigma ip step leave_loc =
   let h0 = if Mm_obs.Trace.active t.tr then Mm_obs.Trace.now_ns () else 0L in
-  if t.pricing = Devex then devex_update t q ip;
+  devex_update t q ip;
   apply_step t q sigma step;
   let leaver = t.basis.(ip) in
   t.basis.(ip) <- q;
@@ -699,7 +672,7 @@ let phase2 t limit out_of_time =
   (* the Devex reference framework accumulated during phase 1 (or left
      behind by a previous solve after an arbitrary basis restore) prices
      the phase-2 geometry poorly; restart it *)
-  if t.pricing = Devex && t.niter > 0 then begin
+  if t.niter > 0 then begin
     Array.fill t.dw 0 t.nt 1.0;
     t.ncand <- 0
   end;
@@ -752,9 +725,9 @@ let is_dual_feasible t =
 
 (* One dual simplex run from the current (dual-feasible) basis.
    Restores primal feasibility while keeping dual feasibility; ends
-   Optimal, Infeasible (primal), or Iteration_limit. Under Devex the
-   leaving row maximizes violation^2 / weight with dual Devex row
-   weights; the exact row norm from {!Lu.btran_unit} cross-checks the
+   Optimal, Infeasible (primal), or Iteration_limit. The leaving row
+   maximizes violation^2 / weight with dual Devex row weights; the
+   exact row norm from {!Lu.btran_unit} cross-checks the
    approximate weight and resets the framework on drift. *)
 let dual_phase t limit out_of_time =
   let exception Numerical_trouble in
@@ -762,43 +735,27 @@ let dual_phase t limit out_of_time =
     let rec loop () =
       if t.niter >= limit || out_of_time () then Iteration_limit
       else begin
-        (* leaving row: most violated (Dantzig) or best weighted
-           violation (Devex) *)
-        let leave = ref (-1)
-        and best = ref 0.0
-        and worst = ref feas_tol
-        and increase = ref false in
+        (* leaving row: best weighted violation *)
+        let leave = ref (-1) and best = ref 0.0 and increase = ref false in
         for i = 0 to t.m - 1 do
           let v = t.basis.(i) in
           let x = t.xval.(v) in
           let viol_lo = t.lb.(v) -. x and viol_hi = x -. t.ub.(v) in
-          if t.pricing = Devex then begin
-            if viol_lo > feas_tol then begin
-              let sc = viol_lo *. viol_lo /. t.drw.(i) in
-              if sc > !best then begin
-                leave := i;
-                best := sc;
-                increase := true
-              end
-            end
-            else if viol_hi > feas_tol then begin
-              let sc = viol_hi *. viol_hi /. t.drw.(i) in
-              if sc > !best then begin
-                leave := i;
-                best := sc;
-                increase := false
-              end
+          if viol_lo > feas_tol then begin
+            let sc = viol_lo *. viol_lo /. t.drw.(i) in
+            if sc > !best then begin
+              leave := i;
+              best := sc;
+              increase := true
             end
           end
-          else if viol_lo > !worst then begin
-            leave := i;
-            worst := viol_lo;
-            increase := true
-          end
-          else if viol_hi > !worst then begin
-            leave := i;
-            worst := viol_hi;
-            increase := false
+          else if viol_hi > feas_tol then begin
+            let sc = viol_hi *. viol_hi /. t.drw.(i) in
+            if sc > !best then begin
+              leave := i;
+              best := sc;
+              increase := false
+            end
           end
         done;
         if !leave < 0 then Optimal
@@ -811,18 +768,15 @@ let dual_phase t limit out_of_time =
             Mm_obs.Trace.hist_add t.btran_hist
               (Int64.of_int (1000 * Svec.nnz t.rho / max 1 t.m));
           let wip =
-            if t.pricing = Devex then begin
-              let exact = ref 0.0 in
-              Svec.iter t.rho (fun _ r -> exact := !exact +. (r *. r));
-              if !exact > devex_drift_factor *. t.drw.(ip) then begin
-                (* the reference framework no longer tracks the true
-                   row norms: reset it *)
-                Array.fill t.drw 0 t.m 1.0;
-                t.ndevex_reset <- t.ndevex_reset + 1
-              end;
-              Float.max t.drw.(ip) !exact
-            end
-            else 1.0
+            let exact = ref 0.0 in
+            Svec.iter t.rho (fun _ r -> exact := !exact +. (r *. r));
+            if !exact > devex_drift_factor *. t.drw.(ip) then begin
+              (* the reference framework no longer tracks the true
+                 row norms: reset it *)
+              Array.fill t.drw 0 t.m 1.0;
+              t.ndevex_reset <- t.ndevex_reset + 1
+            end;
+            Float.max t.drw.(ip) !exact
           in
           compute_duals t t.cost;
           (* entering variable: dual ratio test over sign-eligible
@@ -862,18 +816,16 @@ let dual_phase t limit out_of_time =
             ftran t q;
             if Float.abs (Svec.get t.alpha ip) < pivot_tol then
               raise Numerical_trouble;
-            (if t.pricing = Devex then begin
-               (* dual Devex row-weight update from the entering
-                  column's ftran, over alpha's nonzeros only *)
-               let piv = Svec.get t.alpha ip in
-               let inv2 = 1.0 /. (piv *. piv) in
-               Svec.iter t.alpha (fun i a ->
-                   if i <> ip && Float.abs a > zero_tol then begin
-                     let w = a *. a *. inv2 *. wip in
-                     if w > t.drw.(i) then t.drw.(i) <- w
-                   end);
-               t.drw.(ip) <- Float.max (wip *. inv2) 1.0
-             end);
+            (* dual Devex row-weight update from the entering column's
+               ftran, over alpha's nonzeros only *)
+            let piv = Svec.get t.alpha ip in
+            let inv2 = 1.0 /. (piv *. piv) in
+            Svec.iter t.alpha (fun i a ->
+                if i <> ip && Float.abs a > zero_tol then begin
+                  let w = a *. a *. inv2 *. wip in
+                  if w > t.drw.(i) then t.drw.(i) <- w
+                end);
+            t.drw.(ip) <- Float.max (wip *. inv2) 1.0;
             let leaver = t.basis.(ip) in
             let leave_loc = if !increase then -1 else -2 in
             t.basis.(ip) <- q;

@@ -10,10 +10,6 @@ type options = {
   cut_max_age : int;
   separators : Separator.t list;
   heuristics : bool;
-  parallelism : int;
-  pricing : Simplex.pricing;
-  lu_kernel : Lu.kernel;
-  trace : Mm_obs.Trace.t;
   bb : Branch_bound.options;
 }
 
@@ -26,32 +22,18 @@ let default_options =
     cut_max_age = 8;
     separators = Separator.default;
     heuristics = true;
-    parallelism = 1;
-    pricing = Simplex.Devex;
-    lu_kernel = Lu.Auto;
-    trace = Mm_obs.Trace.disabled;
     bb = Branch_bound.default_options;
   }
 
-let options ?(presolve = true) ?(cuts = true) ?(cut_rounds = 3)
-    ?(max_cuts_per_round = 50) ?(cut_max_age = 8)
-    ?(separators = Separator.default) ?(heuristics = true) ?parallelism
-    ?pricing ?lu_kernel ?trace ?(bb = Branch_bound.default_options) () =
-  (* explicit [?parallelism] / [?pricing] / [?lu_kernel] / [?trace]
-     override whatever [bb] carries *)
-  let parallelism =
-    match parallelism with
-    | Some j -> j
-    | None -> bb.Branch_bound.parallelism
-  in
-  let pricing =
-    match pricing with Some pr -> pr | None -> bb.Branch_bound.pricing
-  in
-  let lu_kernel =
-    match lu_kernel with Some k -> k | None -> bb.Branch_bound.lu_kernel
-  in
-  let trace =
-    match trace with Some tr -> tr | None -> bb.Branch_bound.trace
+let options ?(presolve = default_options.presolve)
+    ?(cuts = default_options.cuts) ?(cut_rounds = default_options.cut_rounds)
+    ?(max_cuts_per_round = default_options.max_cuts_per_round)
+    ?(cut_max_age = default_options.cut_max_age)
+    ?(separators = default_options.separators)
+    ?(heuristics = default_options.heuristics) ?trace
+    ?(bb = default_options.bb) () =
+  let bb =
+    match trace with None -> bb | Some trace -> { bb with Branch_bound.trace }
   in
   {
     presolve;
@@ -61,27 +43,21 @@ let options ?(presolve = true) ?(cuts = true) ?(cut_rounds = 3)
     cut_max_age;
     separators;
     heuristics;
-    parallelism;
-    pricing;
-    lu_kernel;
-    trace;
     bb;
   }
 
-let quick_options ?time_limit ?parallelism ?pricing ?lu_kernel ?trace () =
-  options ?parallelism ?pricing ?lu_kernel ?trace
-    ~bb:(Branch_bound.options ?time_limit ())
-    ()
-
-(* PR 4's root behavior — knapsack covers only, no node separation, no
-   diving, no aging — as a degenerate configuration of the new stack.
-   The pool's scoring and ordering reproduce the historical cut loop
-   pivot for pivot; benchmark A/B cells use this as the baseline arm. *)
-let baseline_options ?time_limit ?parallelism ?pricing ?lu_kernel ?trace () =
-  options ?parallelism ?pricing ?lu_kernel ?trace ~separators:Separator.cover_only
-    ~cut_max_age:max_int ~heuristics:false
-    ~bb:(Branch_bound.options ?time_limit ~node_cut_depth:0 ())
-    ()
+(* The historical root behavior — knapsack covers only, no node
+   separation, no diving, no aging — as a degenerate configuration of
+   the full stack. The pool's scoring and ordering reproduce the old
+   cut loop pivot for pivot, which makes it the cut-validity anchor. *)
+let cover_only o =
+  {
+    o with
+    separators = Separator.cover_only;
+    cut_max_age = max_int;
+    heuristics = false;
+    bb = { o.bb with Branch_bound.node_cut_depth = 0 };
+  }
 
 type stats = {
   presolved_from : int * int;
@@ -322,14 +298,11 @@ let empty_stats before =
   }
 
 let solve ?(options = default_options) ?warm p =
-  let snk = Mm_obs.Trace.root options.trace in
+  let bb = options.bb in
+  let snk = Mm_obs.Trace.root bb.Branch_bound.trace in
   Mm_obs.Trace.span snk "solve" @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let deadline =
-    Option.map
-      (fun tl -> t0 +. tl)
-      options.bb.Branch_bound.time_limit
-  in
+  let deadline = Option.map (fun tl -> t0 +. tl) bb.Branch_bound.time_limit in
   let before = (p.Problem.ncols, p.Problem.nrows) in
   let warm_applied = ref [] in
   let apply_warm name =
@@ -393,8 +366,8 @@ let solve ?(options = default_options) ?warm p =
           in
           let q', cs =
             Mm_obs.Trace.span snk "cuts" (fun () ->
-                Cut_pool.root_loop ?basis ?deadline ~pricing:options.pricing
-                  ~lu_kernel:options.lu_kernel ~snk pool)
+                Cut_pool.root_loop ?basis ?deadline
+                  ~lu_kernel:bb.Branch_bound.lu_kernel ~snk pool)
           in
           (match (warm, cs.Cut_pool.root_basis) with
           | Some w, Some b ->
@@ -412,8 +385,8 @@ let solve ?(options = default_options) ?warm p =
       let heur =
         if options.heuristics && Problem.num_integer q > 0 then
           Mm_obs.Trace.span snk "heuristic" (fun () ->
-              Heuristics.run ?deadline ~pricing:options.pricing
-                ~lu_kernel:options.lu_kernel ~snk q)
+              Heuristics.run ?deadline ~lu_kernel:bb.Branch_bound.lu_kernel
+                ~snk q)
         else
           {
             Heuristics.incumbent = None;
@@ -428,15 +401,6 @@ let solve ?(options = default_options) ?warm p =
          bound: hand the tree search only the true remainder (possibly
          zero, in which case it reports a clean limit status immediately) *)
       let bb_options =
-        let bb =
-          {
-            options.bb with
-            Branch_bound.parallelism = options.parallelism;
-            pricing = options.pricing;
-            lu_kernel = options.lu_kernel;
-            trace = options.trace;
-          }
-        in
         match bb.Branch_bound.time_limit with
         | None -> bb
         | Some tl ->

@@ -16,27 +16,13 @@ type options = {
           covers, sequence-lifted covers, Gomory mixed-integer) *)
   heuristics : bool;
       (** GUB diving/rounding incumbent before the tree, default true *)
-  parallelism : int;
-      (** worker domains for the branch-and-bound tree search, default 1
-          (deterministic serial schedule); overrides [bb.parallelism] *)
-  pricing : Simplex.pricing;
-      (** simplex pricing strategy for the root cut loop and every
-          branch-and-bound workspace, default {!Simplex.Devex};
-          overrides [bb.pricing] *)
-  lu_kernel : Lu.kernel;
-      (** triangular-solve kernel for every simplex workspace (root cut
-          loop, heuristics, branch-and-bound), default {!Lu.Auto}
-          (hypersparse on large bases with automatic dense fallback);
-          {!Lu.Sparse}/{!Lu.Dense} force one path, for A/B runs;
-          overrides [bb.lu_kernel] *)
-  trace : Mm_obs.Trace.t;
-      (** structured tracing (default disabled): the facade records
-          presolve/cuts/heuristic/bb/solve phase spans and cut counters
-          on the trace's root sink and hands the trace down to
-          {!Branch_bound}; overrides [bb.trace] *)
   bb : Branch_bound.options;
-      (** node-cut gating ([node_cut_depth], [node_cut_freq]) rides
-          here *)
+      (** limits, node-cut gating and the execution settings of the
+          whole solve: [parallelism] (tree worker domains), [lu_kernel]
+          (every simplex workspace, root cut loop and heuristic
+          included) and [trace] (the facade records its
+          presolve/cuts/heuristic/bb/solve phase spans and cut counters
+          on the trace's root sink) *)
 }
 
 val default_options : options
@@ -49,40 +35,20 @@ val options :
   ?cut_max_age:int ->
   ?separators:Separator.t list ->
   ?heuristics:bool ->
-  ?parallelism:int ->
-  ?pricing:Simplex.pricing ->
-  ?lu_kernel:Lu.kernel ->
   ?trace:Mm_obs.Trace.t ->
   ?bb:Branch_bound.options ->
   unit ->
   options
 (** Builder for {!options}; prefer this over record literals so future
-    fields stay non-breaking. When [?parallelism], [?pricing],
-    [?lu_kernel] or [?trace] is omitted it is taken from [bb]
-    (defaults: 1, Devex, Sparse, disabled). *)
+    fields stay non-breaking. Unset labels take their values from
+    {!default_options}; [?trace] sets [bb.trace]. *)
 
-val quick_options :
-  ?time_limit:float ->
-  ?parallelism:int ->
-  ?pricing:Simplex.pricing ->
-  ?lu_kernel:Lu.kernel ->
-  ?trace:Mm_obs.Trace.t ->
-  unit ->
-  options
-(** Options with a wall-clock limit, for benchmark harnesses. *)
-
-val baseline_options :
-  ?time_limit:float ->
-  ?parallelism:int ->
-  ?pricing:Simplex.pricing ->
-  ?lu_kernel:Lu.kernel ->
-  ?trace:Mm_obs.Trace.t ->
-  unit ->
-  options
-(** The pre-pool root behavior as a degenerate configuration: knapsack
-    cover cuts only, no aging, no node separation, no heuristics —
-    reproduces the historical cut loop pivot for pivot. Benchmark A/B
-    cells use this as the baseline arm. *)
+val cover_only : options -> options
+(** The historical root behavior as a degenerate configuration of
+    [options]: knapsack cover cuts only, no aging, no node separation,
+    no heuristics — reproduces the pre-pool cut loop pivot for pivot.
+    The cut-validity anchor of the differential tests and the cut A/B
+    benchmarks. *)
 
 type stats = {
   presolved_from : int * int;  (** columns, rows before presolve *)

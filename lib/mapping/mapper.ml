@@ -10,7 +10,6 @@ type options = {
   max_retries : int;
   allow_overlap : bool;
   detailed : detailed_engine;
-  trace : Mm_obs.Trace.t;
 }
 
 let default_options =
@@ -23,43 +22,26 @@ let default_options =
     max_retries = 5;
     allow_overlap = true;
     detailed = Greedy;
-    trace = Mm_obs.Trace.disabled;
   }
 
-let options ?(weights = Cost.default_weights) ?(access_model = Cost.Uniform)
-    ?(port_model = Preprocess.Fig3) ?(arbitration = false)
-    ?(solver_options = Mm_lp.Solver.default_options) ?parallelism ?pricing
-    ?cuts ?heuristics ?trace ?(max_retries = 5) ?(allow_overlap = true)
-    ?(detailed = Greedy) () =
+let options ?(weights = default_options.weights)
+    ?(access_model = default_options.access_model)
+    ?(port_model = default_options.port_model)
+    ?(arbitration = default_options.arbitration)
+    ?(solver_options = default_options.solver_options) ?trace
+    ?(max_retries = default_options.max_retries)
+    ?(allow_overlap = default_options.allow_overlap)
+    ?(detailed = default_options.detailed) () =
   let solver_options =
-    match parallelism with
-    | None -> solver_options
-    | Some j -> { solver_options with Mm_lp.Solver.parallelism = j }
-  in
-  let solver_options =
-    match pricing with
-    | None -> solver_options
-    | Some pr -> { solver_options with Mm_lp.Solver.pricing = pr }
-  in
-  let solver_options =
-    match cuts with
-    | None -> solver_options
-    | Some b -> { solver_options with Mm_lp.Solver.cuts = b }
-  in
-  let solver_options =
-    match heuristics with
-    | None -> solver_options
-    | Some b -> { solver_options with Mm_lp.Solver.heuristics = b }
-  in
-  (* the mapper and the ILP solver share one trace so every event lands
-     in a single file; [?trace] overrides whatever [solver_options]
-     carries *)
-  let trace =
     match trace with
-    | Some tr -> tr
-    | None -> solver_options.Mm_lp.Solver.trace
+    | None -> solver_options
+    | Some trace ->
+        let bb = solver_options.Mm_lp.Solver.bb in
+        {
+          solver_options with
+          Mm_lp.Solver.bb = { bb with Mm_lp.Branch_bound.trace };
+        }
   in
-  let solver_options = { solver_options with Mm_lp.Solver.trace = trace } in
   {
     weights;
     access_model;
@@ -69,7 +51,6 @@ let options ?(weights = Cost.default_weights) ?(access_model = Cost.Uniform)
     max_retries;
     allow_overlap;
     detailed;
-    trace;
   }
 
 type attempt = {
@@ -108,13 +89,18 @@ let formulation : method_ -> Formulation.assignment Formulation.t = function
   | Global_detailed -> (module Global_ilp.F)
   | Complete_flat -> (module Complete_ilp.F)
 
+(* the mapper records its spans on the solver's trace, so every event
+   of a run lands in one file *)
+let trace o = o.solver_options.Mm_lp.Solver.bb.Mm_lp.Branch_bound.trace
+
 let run_detailed options board design assignment =
   match options.detailed with
   | Greedy ->
       Detailed.run ~port_model:options.port_model
         ~allow_overlap:options.allow_overlap
         ~allow_port_sharing:options.arbitration
-        ~trace:(Mm_obs.Trace.root options.trace) board design assignment
+        ~trace:(Mm_obs.Trace.root (trace options))
+        board design assignment
   | Ilp -> (
       match
         Detailed_ilp.run
@@ -133,7 +119,7 @@ let run_detailed options board design assignment =
 
 let run ?(method_ = Global_detailed) ?(options = default_options) ?warm board
     design =
-  let snk = Mm_obs.Trace.root options.trace in
+  let snk = Mm_obs.Trace.root (trace options) in
   let t0 = Unix.gettimeofday () in
   let ilp_seconds = ref 0.0 and detailed_seconds = ref 0.0 in
   let attempts = ref [] in

@@ -26,11 +26,6 @@ type options = {
   max_retries : int;  (** global/detailed retry budget, default 5 *)
   allow_overlap : bool;  (** lifetime-aware storage sharing, default true *)
   detailed : detailed_engine;  (** default Greedy *)
-  trace : Mm_obs.Trace.t;
-      (** structured tracing (default disabled), shared with
-          [solver_options.trace]: the mapper records ["ilp"] and
-          ["detailed"] spans per attempt plus the placer's per-bank-type
-          events on the trace's root sink *)
 }
 
 val default_options : options
@@ -41,10 +36,6 @@ val options :
   ?port_model:Preprocess.port_model ->
   ?arbitration:bool ->
   ?solver_options:Mm_lp.Solver.options ->
-  ?parallelism:int ->
-  ?pricing:Mm_lp.Simplex.pricing ->
-  ?cuts:bool ->
-  ?heuristics:bool ->
   ?trace:Mm_obs.Trace.t ->
   ?max_retries:int ->
   ?allow_overlap:bool ->
@@ -52,14 +43,10 @@ val options :
   unit ->
   options
 (** Builder for {!options}; prefer this over record literals so future
-    fields stay non-breaking. [?parallelism] overrides
-    [solver_options.parallelism] — the number of branch-and-bound worker
-    domains every ILP solve uses. [?pricing] overrides
-    [solver_options.pricing] — the simplex pricing strategy every ILP
-    solve uses. [?cuts] / [?heuristics] override the matching
-    [solver_options] switches (cutting planes and the GUB diving
-    incumbent heuristic). [?trace] overrides [solver_options.trace] and
-    is threaded through every ILP solve and the detailed placer. *)
+    fields stay non-breaking. [?trace] sets the solver's trace
+    ([solver_options.bb.trace]), which the mapper shares: it records
+    ["ilp"] and ["detailed"] spans per attempt plus the placer's
+    per-bank-type events on the trace's root sink. *)
 
 type attempt = {
   index : int;  (** 0 is the first global solve *)

@@ -35,7 +35,7 @@ val lp_core_summary : Mm_lp.Solver.result -> string
 
 val solver_config : Mm_lp.Solver.options -> string
 (** One-line echo of the MIP configuration (cut families, rounds,
-    aging, node-cut gating, heuristics, pricing, parallelism) so a
+    aging, node-cut gating, heuristics, parallelism) so a
     report is self-describing under CLI flag changes. *)
 
 val outcome : Mm_arch.Board.t -> Mm_design.Design.t -> Mapper.outcome -> string

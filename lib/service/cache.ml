@@ -86,7 +86,10 @@ let release t (l : lease) =
 
 (* ---- cross-process persistence ---------------------------------------- *)
 
-let file_version = 1
+(* Version 2: request fingerprints no longer carry the pricing and LU
+   kernel fields, so a version-1 snapshot only holds keys that can never
+   hit again. *)
+let file_version = 2
 
 let save t path =
   let module J = Mm_obs.Json in

@@ -2,8 +2,6 @@ open Mm_lp
 
 type t = {
   parallelism : int;
-  pricing : Simplex.pricing;
-  lu_kernel : Lu.kernel;
   cuts : bool;
   cut_rounds : int;
   max_cuts_per_round : int;
@@ -12,38 +10,29 @@ type t = {
 }
 
 let default =
+  let s = Solver.default_options in
+  let bb = s.Solver.bb in
   {
-    parallelism = 1;
-    pricing = Simplex.Devex;
-    lu_kernel = Lu.Auto;
-    cuts = true;
-    cut_rounds = Solver.default_options.Solver.cut_rounds;
-    max_cuts_per_round = Solver.default_options.Solver.max_cuts_per_round;
-    heuristics = true;
-    time_limit = None;
+    parallelism = bb.Branch_bound.parallelism;
+    cuts = s.Solver.cuts;
+    cut_rounds = s.Solver.cut_rounds;
+    max_cuts_per_round = s.Solver.max_cuts_per_round;
+    heuristics = s.Solver.heuristics;
+    time_limit = bb.Branch_bound.time_limit;
   }
 
-let make ?(parallelism = 1) ?(pricing = Simplex.Devex)
-    ?(lu_kernel = Lu.Auto) ?(cuts = true) ?(cut_rounds = default.cut_rounds)
-    ?(max_cuts_per_round = default.max_cuts_per_round) ?(heuristics = true)
-    ?time_limit () =
-  {
-    parallelism;
-    pricing;
-    lu_kernel;
-    cuts;
-    cut_rounds;
-    max_cuts_per_round;
-    heuristics;
-    time_limit;
-  }
+let make ?(parallelism = default.parallelism) ?(cuts = default.cuts)
+    ?(cut_rounds = default.cut_rounds)
+    ?(max_cuts_per_round = default.max_cuts_per_round)
+    ?(heuristics = default.heuristics) ?time_limit () =
+  { parallelism; cuts; cut_rounds; max_cuts_per_round; heuristics; time_limit }
 
 let to_solver_options ?trace k =
-  Solver.options ~parallelism:k.parallelism ~pricing:k.pricing
-    ~lu_kernel:k.lu_kernel ~cuts:k.cuts
-    ~cut_rounds:k.cut_rounds ~max_cuts_per_round:k.max_cuts_per_round
-    ~heuristics:k.heuristics ?trace
-    ~bb:(Branch_bound.options ?time_limit:k.time_limit ())
+  Solver.options ~cuts:k.cuts ~cut_rounds:k.cut_rounds
+    ~max_cuts_per_round:k.max_cuts_per_round ~heuristics:k.heuristics ?trace
+    ~bb:
+      (Branch_bound.options ~parallelism:k.parallelism
+         ?time_limit:k.time_limit ())
     ()
 
 (* All fields except [time_limit] shape the ILP or the search order, so
@@ -52,8 +41,6 @@ let to_solver_options ?trace k =
 let fingerprint_fields k =
   [
     ("parallelism", string_of_int k.parallelism);
-    ("pricing", Simplex.pricing_to_string k.pricing);
-    ("lu_kernel", Lu.kernel_to_string k.lu_kernel);
     ("cuts", string_of_bool k.cuts);
     ("cut_rounds", string_of_int k.cut_rounds);
     ("max_cuts_per_round", string_of_int k.max_cuts_per_round);
@@ -69,8 +56,6 @@ let to_json k =
   J.Obj
     [
       ("parallelism", J.Num (float_of_int k.parallelism));
-      ("pricing", J.Str (Simplex.pricing_to_string k.pricing));
-      ("lu_kernel", J.Str (Lu.kernel_to_string k.lu_kernel));
       ("cuts", J.Bool k.cuts);
       ("cut_rounds", J.Num (float_of_int k.cut_rounds));
       ("max_cuts_per_round", J.Num (float_of_int k.max_cuts_per_round));
@@ -78,6 +63,11 @@ let to_json k =
       ( "time_limit",
         match k.time_limit with None -> J.Null | Some tl -> J.Num tl );
     ]
+
+let fields =
+  match to_json default with
+  | Mm_obs.Json.Obj kvs -> List.map fst kvs
+  | _ -> assert false
 
 let of_json j =
   let module J = Mm_obs.Json in
@@ -94,25 +84,17 @@ let of_json j =
     | Some _ -> err f
   in
   let ( let* ) = Result.bind in
+  (* a removed or misspelled field must not be silently served the
+     default configuration *)
+  let* () =
+    match j with
+    | J.Obj kvs -> (
+        match List.find_opt (fun (f, _) -> not (List.mem f fields)) kvs with
+        | Some (f, _) -> Error (Printf.sprintf "knobs: unknown field %S" f)
+        | None -> Ok ())
+    | _ -> Ok ()
+  in
   let* parallelism = int "parallelism" default.parallelism in
-  let* pricing =
-    match J.member "pricing" j with
-    | None | Some J.Null -> Ok default.pricing
-    | Some (J.Str s) -> (
-        match Simplex.pricing_of_string s with
-        | Some p -> Ok p
-        | None -> Error (Printf.sprintf "knobs: unknown pricing %S" s))
-    | Some _ -> err "pricing"
-  in
-  let* lu_kernel =
-    match J.member "lu_kernel" j with
-    | None | Some J.Null -> Ok default.lu_kernel
-    | Some (J.Str s) -> (
-        match Lu.kernel_of_string s with
-        | Some k -> Ok k
-        | None -> Error (Printf.sprintf "knobs: unknown lu_kernel %S" s))
-    | Some _ -> err "lu_kernel"
-  in
   let* cuts = boolean "cuts" default.cuts in
   let* cut_rounds = int "cut_rounds" default.cut_rounds in
   let* max_cuts_per_round =
@@ -128,13 +110,4 @@ let of_json j =
         | _ -> err "time_limit")
   in
   Ok
-    {
-      parallelism;
-      pricing;
-      lu_kernel;
-      cuts;
-      cut_rounds;
-      max_cuts_per_round;
-      heuristics;
-      time_limit;
-    }
+    { parallelism; cuts; cut_rounds; max_cuts_per_round; heuristics; time_limit }

@@ -3,18 +3,15 @@
     record backs both — [mmap solve]/[solve-mps]/[serve] parse flags
     into a [t] (see [bin/solver_flags.ml]) and service requests carry
     an optional [knobs] JSON object decoded by {!of_json} — so a flag
-    added here shows up in both surfaces at once. *)
+    added here shows up in both surfaces at once. Every default is
+    read from {!Mm_lp.Solver.default_options}. *)
 
 type t = {
-  parallelism : int;  (** branch-and-bound worker domains, default 1 *)
-  pricing : Mm_lp.Simplex.pricing;  (** default Devex *)
-  lu_kernel : Mm_lp.Lu.kernel;
-      (** FTRAN/BTRAN triangular-solve kernel, default Auto
-          (hypersparse on large bases, dense sweeps otherwise) *)
-  cuts : bool;  (** master cutting-plane switch, default true *)
+  parallelism : int;  (** branch-and-bound worker domains *)
+  cuts : bool;  (** master cutting-plane switch *)
   cut_rounds : int;
   max_cuts_per_round : int;
-  heuristics : bool;  (** GUB diving incumbent, default true *)
+  heuristics : bool;  (** GUB diving incumbent *)
   time_limit : float option;
       (** wall-clock budget in seconds for the ILP search; the
           service's request timeout rides this — the solver's
@@ -25,8 +22,6 @@ val default : t
 
 val make :
   ?parallelism:int ->
-  ?pricing:Mm_lp.Simplex.pricing ->
-  ?lu_kernel:Mm_lp.Lu.kernel ->
   ?cuts:bool ->
   ?cut_rounds:int ->
   ?max_cuts_per_round:int ->
@@ -49,5 +44,5 @@ val to_json : t -> Mm_obs.Json.t
 
 val of_json : Mm_obs.Json.t -> (t, string) result
 (** Decodes a knobs object; absent fields take {!default}s, unknown
-    pricing names and malformed fields are errors. [of_json (to_json
+    and malformed fields are errors naming the field. [of_json (to_json
     k) = Ok k]. *)

@@ -178,7 +178,7 @@ let test_matrix_spans_lu_kernels () =
       Alcotest.(check bool)
         (Printf.sprintf "%s options carry its kernel" a.Arm.name)
         true
-        (o.Mm_lp.Solver.lu_kernel = a.Arm.lu_kernel))
+        (o.Mm_lp.Solver.bb.Mm_lp.Branch_bound.lu_kernel = a.Arm.lu_kernel))
     (Arm.reference :: Arm.matrix)
 
 (* reference vs the serial forced-kernel arms on random small MIPs:

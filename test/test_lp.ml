@@ -276,14 +276,14 @@ let random_lp_wide_gen =
 
 let prop_sparse_matches_dense_oracle =
   qtest ~count:300
-    "sparse LU engine agrees with the dense oracle (all pricings x methods)"
+    "sparse LU engine agrees with the dense oracle (primal and dual)"
     random_lp_wide_gen (fun params ->
       let p = build_random_lp params in
       let d = Dense_simplex.create p in
       let dr = Dense_simplex.solve d in
       List.for_all
-        (fun (pricing, prefer_dual) ->
-          let s = Simplex.create ~pricing p in
+        (fun prefer_dual ->
+          let s = Simplex.create p in
           match (Simplex.solve ~prefer_dual s, dr) with
           | Simplex.Optimal, Dense_simplex.Optimal ->
               let a = Simplex.objective s and b = Dense_simplex.objective d in
@@ -291,12 +291,7 @@ let prop_sparse_matches_dense_oracle =
           | Simplex.Infeasible, Dense_simplex.Infeasible -> true
           | Simplex.Unbounded, Dense_simplex.Unbounded -> true
           | _ -> false)
-        [
-          (Simplex.Dantzig, false);
-          (Simplex.Dantzig, true);
-          (Simplex.Devex, false);
-          (Simplex.Devex, true);
-        ])
+        [ false; true ])
 
 (* Single-step the solver ([iteration_limit:1] performs exactly one
    iteration per call) and, whenever that iteration was a bound flip,
@@ -1196,7 +1191,7 @@ let test_cut_pool_aging_drops_loose_cuts () =
     Cut_pool.create ~options:(Cut_pool.options ~rounds:1 ~max_age:0 ()) p
   in
   let q, st =
-    Cut_pool.root_loop ~pricing:Simplex.Devex ~snk:Mm_obs.Trace.null pool
+    Cut_pool.root_loop ~snk:Mm_obs.Trace.null pool
   in
   Alcotest.(check bool) "root loop added cuts" true (st.Cut_pool.added > 0);
   Alcotest.(check int) "all dropped" st.Cut_pool.added st.Cut_pool.dropped;
@@ -1292,9 +1287,7 @@ let prop_gub_heuristic_feasible_and_bounded =
   qtest ~count:150 "GUB diving incumbent is feasible, above the optimum"
     random_gub_gen (fun params ->
       let p = Model.to_problem (build_random_gub params) in
-      let h =
-        Heuristics.run ~pricing:Simplex.Devex ~snk:Mm_obs.Trace.null p
-      in
+      let h = Heuristics.run ~snk:Mm_obs.Trace.null p in
       match h.Heuristics.incumbent with
       | None -> true (* allowed: the heuristic may come up empty *)
       | Some (x, obj) -> (
@@ -1330,8 +1323,10 @@ let prop_node_cuts_preserve_optimum =
       List.for_all
         (fun j ->
           let options =
-            Solver.options ~parallelism:j
-              ~bb:(Branch_bound.options ~node_cut_depth:50 ~node_cut_freq:1 ())
+            Solver.options
+              ~bb:
+                (Branch_bound.options ~parallelism:j ~node_cut_depth:50
+                   ~node_cut_freq:1 ())
               ()
           in
           let r = (Solver.solve ~options p).Solver.mip in
@@ -1341,11 +1336,13 @@ let prop_node_cuts_preserve_optimum =
           | _ -> false)
         [ 1; 2 ])
 
-let test_baseline_options_reproduce_cover_only () =
+let test_cover_only_reproduces_cover_only () =
   (* the degenerate configuration must behave like the historical
      root-cover-only solver: no lcover/gmi rows, no heuristic incumbent *)
   let p = build_random_bip (8, 5, 31415) in
-  let r = Solver.solve ~options:(Solver.baseline_options ()) p in
+  let r =
+    Solver.solve ~options:(Solver.cover_only Solver.default_options) p
+  in
   List.iter
     (fun (fam, n) ->
       if fam <> "cover" then
@@ -1837,7 +1834,7 @@ let () =
           prop_tableau_rows_annihilate_solution;
           prop_node_cuts_preserve_optimum;
           Alcotest.test_case "baseline config" `Quick
-            test_baseline_options_reproduce_cover_only;
+            test_cover_only_reproduces_cover_only;
         ] );
       ( "heuristics",
         [

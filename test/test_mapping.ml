@@ -983,7 +983,15 @@ let prop_parallel_mapper_equivalent =
       | exception Invalid_argument _ -> QCheck.assume_fail ()
       | board, design ->
           let solve j =
-            match Mapper.run ~options:(Mapper.options ~parallelism:j ()) board design with
+            let solver_options =
+              Mm_lp.Solver.options
+                ~bb:(Mm_lp.Branch_bound.options ~parallelism:j ())
+                ()
+            in
+            match
+              Mapper.run ~options:(Mapper.options ~solver_options ()) board
+                design
+            with
             | Ok o ->
                 `Mapped
                   ( o.Mapper.objective,
@@ -1007,7 +1015,10 @@ let traced_mapper_run ?(time_limit = 30.0) board design =
   let tr = Mm_obs.Trace.create () in
   let options =
     Mapper.options
-      ~solver_options:(Mm_lp.Solver.quick_options ~time_limit ())
+      ~solver_options:
+        (Mm_lp.Solver.options
+           ~bb:(Mm_lp.Branch_bound.options ~time_limit ())
+           ())
       ~trace:tr ()
   in
   (match Mapper.run ~options board design with

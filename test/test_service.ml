@@ -11,7 +11,6 @@ let qtest ?(count = 100) name gen prop =
 let knobs_gen =
   QCheck.Gen.(
     let* parallelism = int_range 0 4 in
-    let* pricing = oneofl [ Mm_lp.Simplex.Devex; Mm_lp.Simplex.Dantzig ] in
     let* cuts = bool in
     let* cut_rounds = int_range 0 5 in
     let* max_cuts_per_round = int_range 1 100 in
@@ -20,7 +19,7 @@ let knobs_gen =
       oneof [ return None; map (fun f -> Some f) (float_range 0.125 8.0) ]
     in
     return
-      (Knobs.make ~parallelism ~pricing ~cuts ~cut_rounds ~max_cuts_per_round
+      (Knobs.make ~parallelism ~cuts ~cut_rounds ~max_cuts_per_round
          ~heuristics ?time_limit ()))
 
 let knobs_arb = QCheck.make ~print:(fun k -> J.to_string (Knobs.to_json k)) knobs_gen
@@ -523,6 +522,57 @@ let test_server_control_ops () =
   in
   ()
 
+let test_server_rejects_unknown_knobs () =
+  (* a client still sending a removed field ([pricing], [lu_kernel]) or
+     a misspelled one must get a bad_request naming it instead of being
+     silently served the default configuration *)
+  let board, design = small_instance () in
+  let line knobs =
+    match Request.to_json (Request.make ~id:"k" board design) with
+    | J.Obj kvs ->
+        J.to_string
+          (J.Obj
+             (List.map
+                (fun (f, v) -> if f = "knobs" then (f, knobs) else (f, v))
+                kvs))
+    | _ -> Alcotest.fail "request does not encode as an object"
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let (), _ =
+    with_server (fun socket ->
+        List.iter
+          (fun (field, value) ->
+            match Client.request ~socket (line (J.Obj [ (field, value) ])) with
+            | Error e -> Alcotest.failf "%s: %s" field e
+            | Ok reply -> (
+                match decode_response reply with
+                | Request.Error_response
+                    { code = Request.Bad_request; message; _ } ->
+                    Alcotest.(check bool)
+                      (field ^ " named in the error") true
+                      (contains message field)
+                | _ -> Alcotest.failf "%s must be bad_request" field))
+          [
+            ("pricing", J.Str "devex");
+            ("lu_kernel", J.Str "dense");
+            ("paralelism", J.Num 2.0);
+          ];
+        match Client.request ~socket (line (Knobs.to_json Knobs.default)) with
+        | Error e -> Alcotest.failf "follow-up request: %s" e
+        | Ok reply -> (
+            match decode_response reply with
+            | Request.Ok_response _ -> ()
+            | Request.Error_response { message; _ } ->
+                Alcotest.failf "server stopped answering: %s" message))
+  in
+  ()
+
 (* --- batch coalescing ------------------------------------------------------- *)
 
 let prop_batch_key_tracks_knob_fingerprint =
@@ -725,9 +775,23 @@ let test_cache_persistence_rejects_corrupt () =
   in
   check_rejected "garbage" "not json {{{";
   check_rejected "wrong version" {|{"version":99,"entries":[]}|};
-  check_rejected "missing entries" {|{"version":1}|};
+  check_rejected "missing entries" {|{"version":2}|};
   check_rejected "invalid warm state"
-    {|{"version":1,"entries":[{"key":"k","warm":{"solves":-1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|}
+    {|{"version":2,"entries":[{"key":"k","warm":{"solves":-1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|};
+  (* a well-formed snapshot of the previous format: its keys were
+     fingerprinted with fields that no longer exist *)
+  let entries =
+    {|"entries":[{"key":"k","warm":{"solves":1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]|}
+  in
+  check_rejected "version 1 snapshot" ({|{"version":1,|} ^ entries ^ "}");
+  (* the same entries under the current version do load: the version
+     alone turned the snapshot away *)
+  with_temp_file (fun file ->
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc ({|{"version":2,|} ^ entries ^ "}"));
+      match Cache.load (Cache.create ~capacity:4) file with
+      | Ok n -> Alcotest.(check int) "version 2 entries load" 1 n
+      | Error e -> Alcotest.failf "version 2 snapshot rejected: %s" e)
 
 let test_cache_save_load_file_roundtrip () =
   (* save of a loaded cache reproduces the same entries *)
@@ -903,6 +967,8 @@ let () =
           Alcotest.test_case "refuses live socket" `Quick
             test_server_refuses_live_socket;
           Alcotest.test_case "control ops" `Quick test_server_control_ops;
+          Alcotest.test_case "rejects unknown knob fields" `Quick
+            test_server_rejects_unknown_knobs;
         ] );
       ( "batching",
         [

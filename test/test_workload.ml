@@ -70,29 +70,34 @@ let test_smallest_point_solvable () =
         (Mm_mapping.Validate.is_legal board design o.Mm_mapping.Mapper.mapping)
   | Error e -> Alcotest.fail (Mm_mapping.Mapper.error_to_string e)
 
+(* Proved optima of the nine Table-3 points (complete and global
+   formulations agree), pinned from independent full-budget runs. *)
+let table3_optima =
+  [ 302649.; 458822.; 297826.; 810398.; 678153.; 752585.; 78985.; 568072.;
+    820457. ]
+
 let test_table3_devex_objectives () =
-  (* regression: every Table-3 point proves the same optimal objective
-     under devex pricing at parallelism 1 and 2 as the dantzig serial
-     baseline (the global/detailed pipeline; the complete formulation
-     is covered by the bench's pricing_ab record) *)
-  List.iter
-    (fun (p : Table3.point) ->
+  (* regression: the global/detailed pipeline reproduces every pinned
+     Table-3 optimum at parallelism 1 and 2 *)
+  List.iter2
+    (fun (p : Table3.point) optimum ->
       let board, design = Gen.instance p.Table3.spec in
-      let solve pricing parallelism =
-        let options = Mm_mapping.Mapper.options ~pricing ~parallelism () in
-        match Mm_mapping.Mapper.run ~options board design with
-        | Ok o -> o.Mm_mapping.Mapper.objective
-        | Error e -> Alcotest.fail (Mm_mapping.Mapper.error_to_string e)
-      in
-      let reference = solve Mm_lp.Simplex.Dantzig 1 in
       List.iter
         (fun j ->
-          Alcotest.(check (float 1e-6))
-            (Printf.sprintf "%d segs, devex j=%d" p.Table3.spec.Gen.segments j)
-            reference
-            (solve Mm_lp.Simplex.Devex j))
+          let solver_options =
+            Mm_lp.Solver.options
+              ~bb:(Mm_lp.Branch_bound.options ~parallelism:j ())
+              ()
+          in
+          let options = Mm_mapping.Mapper.options ~solver_options () in
+          match Mm_mapping.Mapper.run ~options board design with
+          | Ok o ->
+              Alcotest.(check (float 1e-6))
+                (Printf.sprintf "%d segs, j=%d" p.Table3.spec.Gen.segments j)
+                optimum o.Mm_mapping.Mapper.objective
+          | Error e -> Alcotest.fail (Mm_mapping.Mapper.error_to_string e))
         [ 1; 2 ])
-    Table3.points
+    Table3.points table3_optima
 
 let test_rejects_inconsistent_spec () =
   Alcotest.check_raises "configs not multiple of 5"
