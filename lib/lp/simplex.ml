@@ -20,13 +20,29 @@
    infeasibility is non-increasing and no new infeasibilities are
    created.
 
+   Reduced costs are maintained, not re-priced. Every basis change
+   computes the pivot row alpha_r = rho^T [A | -I], rho = B^-T e_ip,
+   once: one btran of a unit vector, then a row-wise sweep over the
+   nonzero rows of rho only. In primal phase 2 and the dual phase the
+   array [d] is updated from that row (d_v -= theta_d alpha_r[v]); the
+   same row feeds the primal Devex weights, the dual ratio test and
+   {!tableau_row}, so no phase-2 or dual pivot solves for the duals or
+   prices a column by a dot product. [d] is recomputed exactly from
+   fresh duals at every refactorization, on entry to phase 2 from
+   phase 1, on entry to the dual phase, and once before optimality is
+   declared; if that check still finds an eligible column, pivoting
+   goes on. Phase 1 prices on demand
+   (c_j - y^T a_j against one btran per pivot), because its costs
+   change with the infeasible set.
+
    Pricing is Devex reference-framework pricing over a rotating
    candidate-list window: each iteration scans only the window of
    nonbasic columns, scoring d^2/w with per-column reference weights
-   updated on every basis change, and runs a full scan only when the
-   window prices out (which is also the only place optimality is
-   declared). The dual method prices leaving rows with dual Devex row
-   weights, checked against the exact row norm from {!Lu.btran_unit}
+   updated from the pivot row on every basis change (scores within
+   [tols.price_tie] tie and go to the lowest index), and runs a full
+   scan only when the window prices out (which is also the only place
+   optimality is declared). The dual method prices leaving rows with
+   dual Devex row weights, checked against the exact row norm of rho
    and reset on drift. Long degenerate streaks fall back to Bland's
    first-eligible full scan. The ratio test is a Harris-style
    two-pass: pass 1 finds the largest step with every blocking bound
@@ -47,6 +63,9 @@ type tolerances = {
   zero : float;  (* drop threshold for update arithmetic *)
   ratio_tie : float;  (* tie window shared by primal and dual ratio tests *)
   harris : float;  (* Harris pass-1 bound relaxation *)
+  price_tie : float;  (* relative window within which Devex scores tie *)
+  dual_start : float;  (* dual infeasibility a basis may carry into the dual *)
+  degenerate : float;  (* step length at or below which a pivot is degenerate *)
 }
 
 let tols =
@@ -57,6 +76,9 @@ let tols =
     zero = 1e-11;
     ratio_tie = 1e-12;
     harris = 1e-8;
+    price_tie = 1e-9;
+    dual_start = 1e-6;
+    degenerate = 1e-10;
   }
 
 let feas_tol = tols.feas
@@ -72,6 +94,18 @@ let refactor_every = 120
 let devex_weight_cap = 1e7
 let devex_drift_factor = 100.0
 
+(* Per-pivot phases timed while a trace is active: index into
+   [phase_ns]/[phase_hist], and the trace histogram name. *)
+let ph_price = 0
+let ph_duals = 1
+let ph_ftran = 2
+let ph_btran = 3
+let ph_lu_update = 4
+let ph_refactor = 5
+
+let phase_names =
+  [| "price"; "duals"; "ftran"; "btran"; "lu_update"; "refactor" |]
+
 type stats = {
   pivots : int;
   phase1_pivots : int;
@@ -83,6 +117,13 @@ type stats = {
   basis_nnz : int;
   sparse_solves : int;
   dense_fallbacks : int;
+  cols_priced : int;
+  price_s : float;
+  duals_s : float;
+  ftran_s : float;
+  btran_s : float;
+  lu_update_s : float;
+  refactor_s : float;
 }
 
 let empty_stats =
@@ -97,6 +138,13 @@ let empty_stats =
     basis_nnz = 0;
     sparse_solves = 0;
     dense_fallbacks = 0;
+    cols_priced = 0;
+    price_s = 0.0;
+    duals_s = 0.0;
+    ftran_s = 0.0;
+    btran_s = 0.0;
+    lu_update_s = 0.0;
+    refactor_s = 0.0;
   }
 
 let merge_stats a b =
@@ -111,14 +159,28 @@ let merge_stats a b =
     basis_nnz = max a.basis_nnz b.basis_nnz;
     sparse_solves = a.sparse_solves + b.sparse_solves;
     dense_fallbacks = a.dense_fallbacks + b.dense_fallbacks;
+    cols_priced = a.cols_priced + b.cols_priced;
+    price_s = a.price_s +. b.price_s;
+    duals_s = a.duals_s +. b.duals_s;
+    ftran_s = a.ftran_s +. b.ftran_s;
+    btran_s = a.btran_s +. b.btran_s;
+    lu_update_s = a.lu_update_s +. b.lu_update_s;
+    refactor_s = a.refactor_s +. b.refactor_s;
   }
 
 let pp_stats fmt s =
   Format.fprintf fmt
     "%d pivots (%d phase-1, %d flips), %d refactorizations, %d devex resets, \
-     eta<=%d, fill %d, basis nnz %d, %d sparse solves, %d dense fallbacks"
+     eta<=%d, fill %d, basis nnz %d, %d sparse solves, %d dense fallbacks, \
+     %d columns priced"
     s.pivots s.phase1_pivots s.flips s.refactorizations s.devex_resets
     s.max_eta s.lu_fill s.basis_nnz s.sparse_solves s.dense_fallbacks
+    s.cols_priced;
+  if s.refactor_s > 0.0 then
+    Format.fprintf fmt
+      " (price %.3fs, duals %.3fs, ftran %.3fs, btran %.3fs, lu update \
+       %.3fs, refactor %.3fs)"
+      s.price_s s.duals_s s.ftran_s s.btran_s s.lu_update_s s.refactor_s
 
 type t = {
   p : Problem.t;
@@ -142,13 +204,16 @@ type t = {
   mutable max_bnnz : int;
   mutable since_refactor : int;
   mutable degenerate_streak : int;
+  mutable ncols_priced : int;
   mutable tr : Mm_obs.Trace.sink;
   mutable flushed_flips : int;
   mutable flushed_resets : int;
+  mutable flushed_priced : int;
   pivot_hist : Mm_obs.Trace.hist;
-  refactor_hist : Mm_obs.Trace.hist;
   ftran_hist : Mm_obs.Trace.hist; (* ftran result density, permille *)
   btran_hist : Mm_obs.Trace.hist; (* btran result density, permille *)
+  phase_ns : int array; (* per-phase nanoseconds, see [ph_price].. *)
+  phase_hist : Mm_obs.Trace.hist array; (* per-phase latencies, same index *)
   (* hypersparse counters harvested from retired Lu instances; the live
      instance's counts are added on top by [stats] *)
   mutable acc_sparse : int;
@@ -159,7 +224,14 @@ type t = {
   rhs : Svec.t; (* row-indexed scratch for ftran inputs *)
   bwork : float array; (* compute_basics accumulation scratch *)
   cbw : Svec.t; (* pos-indexed scratch for btran inputs *)
-  rho : Svec.t; (* row [ip] of the basis inverse, for dual pricing *)
+  rho : Svec.t; (* row [ip] of the basis inverse *)
+  prow : float array; (* pivot row rho^T [A | -I], per variable *)
+  pidx : int array; (* variables with an entry in [prow] *)
+  mutable pnnz : int;
+  pmark : Bytes.t; (* '\001' for variables listed in [pidx] *)
+  d : float array; (* maintained phase-2 reduced costs, per variable *)
+  mutable d_live : bool; (* pricing reads [d] (phase 2, dual phase) *)
+  mutable d_stale : bool; (* [d] was updated since its last exact refresh *)
   pcost : float array;
   dw : float array; (* primal Devex reference weights, per variable *)
   drw : float array; (* dual Devex reference weights, per row *)
@@ -169,27 +241,155 @@ type t = {
   wsize : int; (* window capacity *)
 }
 
+(* phase timers: [tick] reads the clock only under an active trace, so
+   an untraced solve pays one pattern match per timed section *)
+let tick t = if Mm_obs.Trace.active t.tr then Mm_obs.Trace.now_ns () else 0L
+
+let tock t ph h0 =
+  if Mm_obs.Trace.active t.tr then begin
+    let dt = Int64.sub (Mm_obs.Trace.now_ns ()) h0 in
+    t.phase_ns.(ph) <- t.phase_ns.(ph) + Int64.to_int dt;
+    Mm_obs.Trace.hist_add t.phase_hist.(ph) dt
+  end
+
 (* --- column access ---------------------------------------------------- *)
 
 let col_iter t j f =
   if j < t.n then Problem.col_iter t.p j f else f (j - t.n) (-1.0)
 
-(* y . A_j *)
+(* y . A_j, summed in ascending row order from 0.0 (the slack column
+   -e_r gives 0.0 - y_r) *)
 let dot_col t y j =
-  let acc = ref 0.0 in
-  col_iter t j (fun r a -> acc := !acc +. (y.(r) *. a));
-  !acc
+  if j < t.n then begin
+    let idx, a = t.p.Problem.cols.(j) in
+    let acc = ref 0.0 in
+    for k = 0 to Array.length idx - 1 do
+      acc := !acc +. (y.(idx.(k)) *. a.(k))
+    done;
+    !acc
+  end
+  else 0.0 -. y.(j - t.n)
 
 (* alpha := B^-1 A_j, hypersparse: the packed column ftrans through the
    sparse kernel and alpha's pattern drives the ratio test, the step
    application, the eta build and the dual weight updates *)
 let ftran t j =
+  let h0 = tick t in
   Svec.clear t.rhs;
   col_iter t j (fun r a -> Svec.set t.rhs r a);
   Lu.ftran_sv t.lu ~src:t.rhs ~dst:t.alpha;
   if Mm_obs.Trace.active t.tr then
     Mm_obs.Trace.hist_add t.ftran_hist
-      (Int64.of_int (1000 * Svec.nnz t.alpha / max 1 t.m))
+      (Int64.of_int (1000 * Svec.nnz t.alpha / max 1 t.m));
+  tock t ph_ftran h0
+
+(* --- duals and the pivot row ------------------------------------------- *)
+
+let compute_duals t costs =
+  (* in phase 1 only the (few) infeasible basics carry cost, so the
+     right-hand side is typically hypersparse and the btran cheap *)
+  let h0 = tick t in
+  Svec.clear t.cbw;
+  for k = 0 to t.m - 1 do
+    let c = costs.(t.basis.(k)) in
+    if c <> 0.0 then Svec.set t.cbw k c
+  done;
+  Lu.btran_sv t.lu ~src:t.cbw ~dst:t.y;
+  if Mm_obs.Trace.active t.tr then
+    Mm_obs.Trace.hist_add t.btran_hist
+      (Int64.of_int (1000 * Svec.nnz t.y / max 1 t.m));
+  tock t ph_duals h0
+
+(* Visits rho's entries as [Svec.iter] would — ascending rows, from the
+   pattern when it is known — skipping exact zeros. *)
+let iter_nonzero (rho : Svec.t) f =
+  let vals = rho.Svec.vals in
+  if rho.Svec.nnz >= 0 then
+    for s = 0 to rho.Svec.nnz - 1 do
+      let r = rho.Svec.idx.(s) in
+      let rr = vals.(r) in
+      if rr <> 0.0 then f r rr
+    done
+  else
+    for r = 0 to Array.length vals - 1 do
+      let rr = vals.(r) in
+      if rr <> 0.0 then f r rr
+    done
+
+(* The pivot row alpha_r = rho^T [A | -I] of basis position [ip] into
+   [prow], its support listed in [pidx]: one btran of e_ip (into [rho]),
+   then a sweep over rho's nonzero rows. Rows come in ascending order
+   and exact zeros of rho are skipped, so every entry is summed in the
+   order [dot_col rho v] would sum it: bit-identical under either LU
+   kernel, at a cost proportional to the rows rho actually reaches.
+   Called before the basis change, while [t.lu] still factors the
+   outgoing basis. *)
+let pivot_row t ip =
+  let h0 = tick t in
+  let prow = t.prow and pmark = t.pmark and pidx = t.pidx in
+  for s = 0 to t.pnnz - 1 do
+    let v = pidx.(s) in
+    prow.(v) <- 0.0;
+    Bytes.unsafe_set pmark v '\000'
+  done;
+  t.pnnz <- 0;
+  Lu.btran_unit_sv t.lu ~pos:ip ~dst:t.rho;
+  if Mm_obs.Trace.active t.tr then
+    Mm_obs.Trace.hist_add t.btran_hist
+      (Int64.of_int (1000 * Svec.nnz t.rho / max 1 t.m));
+  iter_nonzero t.rho (fun r rr ->
+      let idx, a = t.p.Problem.rows.(r) in
+      let np = ref t.pnnz in
+      for k = 0 to Array.length idx - 1 do
+        let j = idx.(k) in
+        if Bytes.unsafe_get pmark j = '\000' then begin
+          Bytes.unsafe_set pmark j '\001';
+          pidx.(!np) <- j;
+          incr np
+        end;
+        prow.(j) <- prow.(j) +. (rr *. a.(k))
+      done;
+      let s = t.n + r in
+      Bytes.unsafe_set pmark s '\001';
+      pidx.(!np) <- s;
+      t.pnnz <- !np + 1;
+      prow.(s) <- -.rr);
+  tock t ph_btran h0
+
+(* Exact phase-2 reduced costs from fresh duals: the refresh point of
+   the maintained [d]. *)
+let refresh_d t =
+  compute_duals t t.cost;
+  let h0 = tick t in
+  for v = 0 to t.nt - 1 do
+    if t.loc.(v) < 0 then begin
+      t.d.(v) <- t.cost.(v) -. dot_col t t.y.Svec.vals v;
+      t.ncols_priced <- t.ncols_priced + 1
+    end
+    else t.d.(v) <- 0.0
+  done;
+  t.d_stale <- false;
+  tock t ph_price h0
+
+(* Update [d] for [q] entering at [ip] with pivot element [piv] from
+   the pivot row of the outgoing basis, consuming the row (its entries
+   are zeroed on the way, so the next {!pivot_row} starts clean):
+   d_v -= theta alpha_r[v] with theta = d_q / piv over the row's
+   support, basic variables included since their [d] is never read;
+   then q's reduced cost is 0 and the leaver's -theta. *)
+let update_d t q ip piv =
+  let theta = t.d.(q) /. piv in
+  let d = t.d and prow = t.prow in
+  for s = 0 to t.pnnz - 1 do
+    let v = t.pidx.(s) in
+    d.(v) <- d.(v) -. (theta *. prow.(v));
+    prow.(v) <- 0.0;
+    Bytes.unsafe_set t.pmark v '\000'
+  done;
+  t.pnnz <- 0;
+  d.(q) <- 0.0;
+  d.(t.basis.(ip)) <- -.theta;
+  t.d_stale <- true
 
 (* --- creation and (re)factorization ----------------------------------- *)
 
@@ -240,7 +440,7 @@ let harvest_lu_counters t =
   t.acc_dense <- t.acc_dense + Lu.dense_fallbacks t.lu
 
 let refactor t =
-  let h0 = if Mm_obs.Trace.active t.tr then Mm_obs.Trace.now_ns () else 0L in
+  let h0 = tick t in
   harvest_lu_counters t;
   (try t.lu <- factor_current t
    with Lu.Singular ->
@@ -251,9 +451,8 @@ let refactor t =
   if Lu.basis_nnz t.lu > t.max_bnnz then t.max_bnnz <- Lu.basis_nnz t.lu;
   compute_basics t;
   t.since_refactor <- 0;
-  if Mm_obs.Trace.active t.tr then
-    Mm_obs.Trace.hist_add t.refactor_hist
-      (Int64.sub (Mm_obs.Trace.now_ns ()) h0)
+  tock t ph_refactor h0;
+  if t.d_live then refresh_d t
 
 let refactorize = refactor
 
@@ -294,13 +493,17 @@ let create ?(lu_kernel = Lu.Auto) p =
       max_bnnz = 0;
       since_refactor = 0;
       degenerate_streak = 0;
+      ncols_priced = 0;
       tr = Mm_obs.Trace.null;
       flushed_flips = 0;
       flushed_resets = 0;
+      flushed_priced = 0;
       pivot_hist = Mm_obs.Trace.hist_create ();
-      refactor_hist = Mm_obs.Trace.hist_create ();
       ftran_hist = Mm_obs.Trace.hist_create ();
       btran_hist = Mm_obs.Trace.hist_create ();
+      phase_ns = Array.make (Array.length phase_names) 0;
+      phase_hist =
+        Array.map (fun _ -> Mm_obs.Trace.hist_create ()) phase_names;
       acc_sparse = 0;
       acc_dense = 0;
       y = Svec.create m;
@@ -310,6 +513,13 @@ let create ?(lu_kernel = Lu.Auto) p =
       bwork = Array.make m 0.0;
       cbw = Svec.create m;
       rho = Svec.create m;
+      prow = Array.make nt 0.0;
+      pidx = Array.make nt 0;
+      pnnz = 0;
+      pmark = Bytes.make nt '\000';
+      d = Array.make nt 0.0;
+      d_live = false;
+      d_stale = false;
       pcost = Array.make nt 0.0;
       dw = Array.make nt 1.0;
       drw = Array.make m 1.0;
@@ -358,73 +568,76 @@ let create_from prev p' =
 
 (* --- pricing ----------------------------------------------------------- *)
 
-let compute_duals t costs =
-  (* in phase 1 only the (few) infeasible basics carry cost, so the
-     right-hand side is typically hypersparse and the btran cheap *)
-  Svec.clear t.cbw;
-  for k = 0 to t.m - 1 do
-    let c = costs.(t.basis.(k)) in
-    if c <> 0.0 then Svec.set t.cbw k c
-  done;
-  Lu.btran_sv t.lu ~src:t.cbw ~dst:t.y;
-  if Mm_obs.Trace.active t.tr then
-    Mm_obs.Trace.hist_add t.btran_hist
-      (Int64.of_int (1000 * Svec.nnz t.y / max 1 t.m))
+(* Reduced cost of nonbasic [v]: the maintained [d] in phase 2 and the
+   dual phase; in phase 1 priced on demand against the phase-1 costs,
+   assuming t.y holds their duals. *)
+let[@inline] reduced_cost t v =
+  if t.d_live then t.d.(v)
+  else begin
+    t.ncols_priced <- t.ncols_priced + 1;
+    t.pcost.(v) -. dot_col t t.y.Svec.vals v
+  end
 
-(* Direction and reduced cost of a nonbasic variable when it prices out,
-   assuming t.y holds the duals for [costs]. sigma = +1 when the
-   variable enters increasing from its lower bound, -1 when it enters
-   decreasing from its upper bound. *)
-let eligibility t costs v =
-  let l = t.loc.(v) in
-  if l >= 0 then None
-  else
-    let d = costs.(v) -. dot_col t t.y.Svec.vals v in
-    match l with
-    | -1 ->
-        if d < -.opt_tol && t.ub.(v) > t.lb.(v) then Some (1.0, d) else None
-    | -2 -> if d > opt_tol && t.ub.(v) > t.lb.(v) then Some (-1.0, d) else None
-    | _ ->
-        if d < -.opt_tol then Some (1.0, d)
-        else if d > opt_tol then Some (-1.0, d)
-        else None
+(* Entering direction of nonbasic [v] at reduced cost [d]: 1 when it
+   enters increasing from its lower bound, -1 when it enters decreasing
+   from its upper bound, 0 when it does not price out. *)
+let direction t v d =
+  match t.loc.(v) with
+  | -1 -> if d < -.opt_tol && t.ub.(v) > t.lb.(v) then 1 else 0
+  | -2 -> if d > opt_tol && t.ub.(v) > t.lb.(v) then -1 else 0
+  | _ -> if d < -.opt_tol then 1 else if d > opt_tol then -1 else 0
 
 (* Bland's first-eligible full scan: the anti-cycling fallback for long
    degenerate streaks. *)
-let price_bland t costs =
+let price_bland t =
   let rec scan v =
     if v >= t.nt then None
     else
-      match eligibility t costs v with
-      | Some (sigma, _) -> Some (v, sigma)
-      | None -> scan (v + 1)
+      let sigma =
+        if t.loc.(v) < 0 then direction t v (reduced_cost t v) else 0
+      in
+      if sigma <> 0 then Some (v, float_of_int sigma) else scan (v + 1)
   in
   scan 0
 
 (* Devex pricing over the candidate window: re-price only the window,
    keep the members that still price out, and pick the best d^2/w
-   score. When the window prices out, rebuild it with a full rotating
-   scan — the only place optimality may be declared, so partial pricing
-   can never terminate early on a stale window. *)
-let price_devex t costs =
+   score. Scores within [tols.price_tie] of the best tie and go to the
+   lowest variable index, as ties do in Bland's scan, branching and
+   diving: interchangeable columns (identical bank instances) share one
+   exact reduced cost, and neither the last bits a maintained [d] gives
+   each of them nor the window's rotating cursor may pick among them.
+   When the window prices out, rebuild it with a full rotating scan —
+   the only place optimality may be declared, so partial pricing can
+   never terminate early on a stale window. *)
+let price_devex t =
   let best = ref (-1) and best_score = ref 0.0 and best_sigma = ref 1.0 in
-  let consider v sigma d =
-    let sc = d *. d /. t.dw.(v) in
-    if sc > !best_score then begin
-      best := v;
-      best_score := sc;
-      best_sigma := sigma
-    end
+  (* scores [v] when it is nonbasic and prices out; says whether it did *)
+  let consider v =
+    t.loc.(v) < 0
+    &&
+    let d = reduced_cost t v in
+    let sigma = direction t v d in
+    sigma <> 0
+    && begin
+         let sc = d *. d /. t.dw.(v) in
+         let tie = tols.price_tie *. !best_score in
+         if sc > !best_score +. tie || (v < !best && sc >= !best_score -. tie)
+         then begin
+           best := v;
+           best_score := sc;
+           best_sigma := float_of_int sigma
+         end;
+         true
+       end
   in
   let keep = ref 0 in
   for s = 0 to t.ncand - 1 do
     let v = t.cand.(s) in
-    match eligibility t costs v with
-    | Some (sigma, d) ->
-        t.cand.(!keep) <- v;
-        incr keep;
-        consider v sigma d
-    | None -> ()
+    if consider v then begin
+      t.cand.(!keep) <- v;
+      incr keep
+    end
   done;
   t.ncand <- !keep;
   if !best >= 0 then Some (!best, !best_sigma)
@@ -437,13 +650,11 @@ let price_devex t costs =
          let v = start + !scanned in
          let v = if v >= t.nt then v - t.nt else v in
          incr scanned;
-         match eligibility t costs v with
-         | Some (sigma, d) ->
-             t.cand.(t.ncand) <- v;
-             t.ncand <- t.ncand + 1;
-             consider v sigma d;
-             if t.ncand >= t.wsize then raise Exit
-         | None -> ()
+         if consider v then begin
+           t.cand.(t.ncand) <- v;
+           t.ncand <- t.ncand + 1;
+           if t.ncand >= t.wsize then raise Exit
+         end
        done
      with Exit -> ());
     t.scan_from <-
@@ -452,13 +663,16 @@ let price_devex t costs =
     if !best < 0 then None else Some (!best, !best_sigma)
   end
 
-let price t costs ~bland =
-  if bland then price_bland t costs else price_devex t costs
+let price t ~bland =
+  let h0 = tick t in
+  let r = if bland then price_bland t else price_devex t in
+  tock t ph_price h0;
+  r
 
 (* Primal Devex weight update for the pivot that makes [q] enter at
-   basis position [ip] (called before the LU update, while [t.lu] still
-   factors the outgoing basis). Weights of the candidate window are
-   updated from the pivot row [rho = B^-T e_ip]; the leaver gets its
+   basis position [ip], reading the pivot row already built by
+   {!pivot_row}. Weights of the candidate window are raised to
+   alpha_r[v]^2 / piv^2 times the entering weight; the leaver gets its
    reference weight refreshed exactly. A selected weight past the cap
    means the framework has drifted: reset to all ones. *)
 let devex_update t q ip =
@@ -470,22 +684,16 @@ let devex_update t q ip =
   end
   else begin
     let inv2 = 1.0 /. (piv *. piv) in
-    if t.ncand > 0 then begin
-      Lu.btran_unit_sv t.lu ~pos:ip ~dst:t.rho;
-      if Mm_obs.Trace.active t.tr then
-        Mm_obs.Trace.hist_add t.btran_hist
-          (Int64.of_int (1000 * Svec.nnz t.rho / max 1 t.m));
-      for s = 0 to t.ncand - 1 do
-        let v = t.cand.(s) in
-        if v <> q && t.loc.(v) < 0 then begin
-          let arj = dot_col t t.rho.Svec.vals v in
-          if Float.abs arj > zero_tol then begin
-            let w = arj *. arj *. inv2 *. wq in
-            if w > t.dw.(v) then t.dw.(v) <- w
-          end
+    for s = 0 to t.ncand - 1 do
+      let v = t.cand.(s) in
+      if v <> q && t.loc.(v) < 0 then begin
+        let arj = t.prow.(v) in
+        if Float.abs arj > zero_tol then begin
+          let w = arj *. arj *. inv2 *. wq in
+          if w > t.dw.(v) then t.dw.(v) <- w
         end
-      done
-    end;
+      end
+    done;
     t.dw.(t.basis.(ip)) <- Float.max (wq *. inv2) 1.0
   end
 
@@ -569,18 +777,24 @@ let apply_step t q sigma step =
 (* Absorb the exchange at position [ip] into the eta file; refactorize on
    schedule, when the eta file outgrows the factors, or on a bad pivot. *)
 let update_lu t ip =
+  let h0 = tick t in
   match Lu.update_sv t.lu ~pos:ip ~alpha:t.alpha with
   | () ->
+      tock t ph_lu_update h0;
       if Lu.eta_count t.lu > t.max_eta then t.max_eta <- Lu.eta_count t.lu;
       if
         t.since_refactor >= refactor_every
         || Lu.eta_nnz t.lu > (4 * t.m) + (2 * Lu.basis_nnz t.lu)
       then refactor t
-  | exception Lu.Singular -> refactor t
+  | exception Lu.Singular ->
+      tock t ph_lu_update h0;
+      refactor t
 
 let do_pivot t q sigma ip step leave_loc =
   let h0 = if Mm_obs.Trace.active t.tr then Mm_obs.Trace.now_ns () else 0L in
+  pivot_row t ip;
   devex_update t q ip;
+  if t.d_live then update_d t q ip (Svec.get t.alpha ip);
   apply_step t q sigma step;
   let leaver = t.basis.(ip) in
   t.basis.(ip) <- q;
@@ -590,7 +804,8 @@ let do_pivot t q sigma ip step leave_loc =
   t.xval.(leaver) <- nonbasic_value t leaver;
   t.niter <- t.niter + 1;
   t.since_refactor <- t.since_refactor + 1;
-  if step <= 1e-10 then t.degenerate_streak <- t.degenerate_streak + 1
+  if step <= tols.degenerate then
+    t.degenerate_streak <- t.degenerate_streak + 1
   else t.degenerate_streak <- 0;
   update_lu t ip;
   (* includes any refactorization triggered by this pivot *)
@@ -619,6 +834,7 @@ let infeasibility t =
   !acc
 
 let phase1_inner t limit out_of_time =
+  t.d_live <- false;
   let rec loop () =
     if t.niter >= limit || out_of_time () then Iteration_limit
     else if infeasibility t <= feas_tol *. float_of_int (t.m + 1) then Optimal
@@ -632,7 +848,7 @@ let phase1_inner t limit out_of_time =
       done;
       compute_duals t t.pcost;
       let bland = t.degenerate_streak > 200 in
-      match price t t.pcost ~bland with
+      match price t ~bland with
       | None -> Infeasible
       | Some (q, sigma) -> (
           ftran t q;
@@ -676,13 +892,24 @@ let phase2 t limit out_of_time =
     Array.fill t.dw 0 t.nt 1.0;
     t.ncand <- 0
   end;
+  (* the dual phase hands over a live [d]; after phase 1 it is rebuilt *)
+  if not t.d_live then begin
+    t.d_live <- true;
+    refresh_d t
+  end;
   let rec loop () =
     if t.niter >= limit || out_of_time () then Iteration_limit
     else begin
-      compute_duals t t.cost;
       let bland = t.degenerate_streak > 200 in
-      match price t t.cost ~bland with
-      | None -> Optimal
+      match price t ~bland with
+      | None ->
+          (* a maintained [d] carries rounding: confirm optimality on
+             exact reduced costs, and go on pivoting if they disagree *)
+          if t.d_stale then begin
+            refresh_d t;
+            loop ()
+          end
+          else Optimal
       | Some (q, sigma) -> (
           ftran t q;
           match ratio_test t q sigma ~phase1:false with
@@ -705,30 +932,30 @@ let phase2 t limit out_of_time =
 
 (* --- dual simplex ------------------------------------------------------ *)
 
-(* Reduced cost of one nonbasic variable under the phase-2 objective,
-   assuming t.y holds the duals. *)
-let reduced_cost t v = t.cost.(v) -. dot_col t t.y.Svec.vals v
-
+(* Refreshes [d] exactly and makes it live: the dual phase starts from
+   these reduced costs when they are sign-feasible. *)
 let is_dual_feasible t =
-  compute_duals t t.cost;
+  t.d_live <- true;
+  refresh_d t;
   let ok = ref true in
   for v = 0 to t.nt - 1 do
     if !ok && t.loc.(v) < 0 then begin
-      let d = reduced_cost t v in
+      let d = t.d.(v) in
       match t.loc.(v) with
-      | -1 -> if d < -1e-6 && t.ub.(v) > t.lb.(v) then ok := false
-      | -2 -> if d > 1e-6 && t.ub.(v) > t.lb.(v) then ok := false
-      | _ -> if Float.abs d > 1e-6 then ok := false
+      | -1 -> if d < -.tols.dual_start && t.ub.(v) > t.lb.(v) then ok := false
+      | -2 -> if d > tols.dual_start && t.ub.(v) > t.lb.(v) then ok := false
+      | _ -> if Float.abs d > tols.dual_start then ok := false
     end
   done;
   !ok
 
-(* One dual simplex run from the current (dual-feasible) basis.
-   Restores primal feasibility while keeping dual feasibility; ends
-   Optimal, Infeasible (primal), or Iteration_limit. The leaving row
-   maximizes violation^2 / weight with dual Devex row weights; the
-   exact row norm from {!Lu.btran_unit} cross-checks the
-   approximate weight and resets the framework on drift. *)
+(* One dual simplex run from the current (dual-feasible) basis, with
+   [d] live. Restores primal feasibility while keeping dual
+   feasibility; ends Optimal, Infeasible (primal), or Iteration_limit.
+   The leaving row maximizes violation^2 / weight with dual Devex row
+   weights; the exact norm of rho cross-checks the approximate weight
+   and resets the framework on drift. The pivot row drives both the
+   ratio test and the update of [d]. *)
 let dual_phase t limit out_of_time =
   let exception Numerical_trouble in
   try
@@ -761,12 +988,10 @@ let dual_phase t limit out_of_time =
         if !leave < 0 then Optimal
         else begin
           let ip = !leave in
-          (* rho := row ip of the basis inverse, via btran of e_ip — the
-             single-nonzero right-hand side is the ideal hypersparse case *)
-          Lu.btran_unit_sv t.lu ~pos:ip ~dst:t.rho;
-          if Mm_obs.Trace.active t.tr then
-            Mm_obs.Trace.hist_add t.btran_hist
-              (Int64.of_int (1000 * Svec.nnz t.rho / max 1 t.m));
+          (* rho := row ip of the basis inverse — the single-nonzero
+             right-hand side is the ideal hypersparse case — and the
+             pivot row from it *)
+          pivot_row t ip;
           let wip =
             let exact = ref 0.0 in
             Svec.iter t.rho (fun _ r -> exact := !exact +. (r *. r));
@@ -778,15 +1003,15 @@ let dual_phase t limit out_of_time =
             end;
             Float.max t.drw.(ip) !exact
           in
-          compute_duals t t.cost;
           (* entering variable: dual ratio test over sign-eligible
              nonbasic columns *)
+          let h0 = tick t in
           let best = ref (-1)
           and best_ratio = ref infinity
           and best_mag = ref 0.0 in
           for v = 0 to t.nt - 1 do
             if t.loc.(v) < 0 && t.ub.(v) > t.lb.(v) then begin
-              let a = dot_col t t.rho.Svec.vals v in
+              let a = t.prow.(v) in
               if Float.abs a > pivot_tol then begin
                 let eligible =
                   match t.loc.(v) with
@@ -795,8 +1020,7 @@ let dual_phase t limit out_of_time =
                   | _ -> true (* free variables can move either way *)
                 in
                 if eligible then begin
-                  let d = reduced_cost t v in
-                  let ratio = Float.abs d /. Float.abs a in
+                  let ratio = Float.abs t.d.(v) /. Float.abs a in
                   if
                     ratio < !best_ratio -. tie_tol
                     || (ratio < !best_ratio +. tie_tol
@@ -810,6 +1034,7 @@ let dual_phase t limit out_of_time =
               end
             end
           done;
+          tock t ph_price h0;
           if !best < 0 then Infeasible
           else begin
             let q = !best in
@@ -826,6 +1051,9 @@ let dual_phase t limit out_of_time =
                   if w > t.drw.(i) then t.drw.(i) <- w
                 end);
             t.drw.(ip) <- Float.max (wip *. inv2) 1.0;
+            (* the dual step: theta_d = d_q / alpha_r[q], from the row
+               the ratio test read *)
+            update_d t q ip t.prow.(q);
             let leaver = t.basis.(ip) in
             let leave_loc = if !increase then -1 else -2 in
             t.basis.(ip) <- q;
@@ -834,7 +1062,11 @@ let dual_phase t limit out_of_time =
             t.niter <- t.niter + 1;
             t.since_refactor <- t.since_refactor + 1;
             update_lu t ip;
-            if t.since_refactor > 0 then compute_basics t;
+            if t.since_refactor > 0 then begin
+              let h0 = tick t in
+              compute_basics t;
+              tock t ph_ftran h0
+            end;
             loop ()
           end
         end
@@ -863,6 +1095,7 @@ let solve ?iteration_limit ?deadline ?(prefer_dual = false) t =
           if !counter land 63 = 0 then Unix.gettimeofday () > d else false
   in
   t.degenerate_streak <- 0;
+  t.d_live <- false;
   refactor t;
   let primal_path () =
     match phase1 t limit out_of_time with
@@ -879,22 +1112,27 @@ let solve ?iteration_limit ?deadline ?(prefer_dual = false) t =
         else r
     | other -> other
   in
-  if prefer_dual && is_dual_feasible t then begin
-    (* give the dual method a bounded head start; any trouble falls back
-       to the safe primal two-phase path *)
-    let dual_limit = min limit (t.niter + 2_000 + (4 * t.m)) in
-    match dual_phase t dual_limit out_of_time with
-    | Optimal ->
-        (* confirm with a (normally zero-pivot) primal phase-2 pass *)
-        if infeasibility t <= feas_tol *. float_of_int (t.m + 1) then
-          phase2 t limit out_of_time
-        else primal_path ()
-    | Infeasible -> Infeasible
-    | Unbounded | Iteration_limit ->
-        if out_of_time () || t.niter >= limit then Iteration_limit
-        else primal_path ()
-  end
-  else primal_path ()
+  let r =
+    if prefer_dual && is_dual_feasible t then begin
+      (* give the dual method a bounded head start; any trouble falls
+         back to the safe primal two-phase path *)
+      let dual_limit = min limit (t.niter + 2_000 + (4 * t.m)) in
+      match dual_phase t dual_limit out_of_time with
+      | Optimal ->
+          (* confirm with a (normally zero-pivot) primal phase-2 pass *)
+          if infeasibility t <= feas_tol *. float_of_int (t.m + 1) then
+            phase2 t limit out_of_time
+          else primal_path ()
+      | Infeasible -> Infeasible
+      | Unbounded | Iteration_limit ->
+          if out_of_time () || t.niter >= limit then Iteration_limit
+          else primal_path ()
+    end
+    else primal_path ()
+  in
+  (* [d] only tracks the basis inside a solve *)
+  t.d_live <- false;
+  r
 
 (* --- accessors ---------------------------------------------------------- *)
 
@@ -929,23 +1167,35 @@ let stats t =
     basis_nnz = t.max_bnnz;
     sparse_solves = t.acc_sparse + Lu.sparse_solves t.lu;
     dense_fallbacks = t.acc_dense + Lu.dense_fallbacks t.lu;
+    cols_priced = t.ncols_priced;
+    price_s = 1e-9 *. float_of_int t.phase_ns.(ph_price);
+    duals_s = 1e-9 *. float_of_int t.phase_ns.(ph_duals);
+    ftran_s = 1e-9 *. float_of_int t.phase_ns.(ph_ftran);
+    btran_s = 1e-9 *. float_of_int t.phase_ns.(ph_btran);
+    lu_update_s = 1e-9 *. float_of_int t.phase_ns.(ph_lu_update);
+    refactor_s = 1e-9 *. float_of_int t.phase_ns.(ph_refactor);
   }
 
 let set_trace t s = t.tr <- s
 
 let flush_trace t =
   Mm_obs.Trace.emit_hist t.tr "pivot" t.pivot_hist;
-  Mm_obs.Trace.emit_hist t.tr "refactor" t.refactor_hist;
+  Array.iteri
+    (fun ph name -> Mm_obs.Trace.emit_hist t.tr name t.phase_hist.(ph))
+    phase_names;
   Mm_obs.Trace.emit_hist t.tr "ftran_density_permille" t.ftran_hist;
   Mm_obs.Trace.emit_hist t.tr "btran_density_permille" t.btran_hist;
   if Mm_obs.Trace.active t.tr then begin
     if t.nflip > t.flushed_flips then
       Mm_obs.Trace.count t.tr "flip" (t.nflip - t.flushed_flips);
     if t.ndevex_reset > t.flushed_resets then
-      Mm_obs.Trace.count t.tr "devex_reset" (t.ndevex_reset - t.flushed_resets)
+      Mm_obs.Trace.count t.tr "devex_reset" (t.ndevex_reset - t.flushed_resets);
+    if t.ncols_priced > t.flushed_priced then
+      Mm_obs.Trace.count t.tr "cols_priced" (t.ncols_priced - t.flushed_priced)
   end;
   t.flushed_flips <- t.nflip;
-  t.flushed_resets <- t.ndevex_reset
+  t.flushed_resets <- t.ndevex_reset;
+  t.flushed_priced <- t.ncols_priced
 
 let set_bounds t j lb ub =
   if j < 0 || j >= t.n then invalid_arg "Simplex.set_bounds";
@@ -1087,13 +1337,13 @@ let var_bounds_all t v =
 
 let tableau_row t ~pos =
   if pos < 0 || pos >= t.m then invalid_arg "Simplex.tableau_row";
-  (* rho := row [pos] of B^-1, then one sparse dot product per nonbasic
-     column. Fresh scratch arrays: separation runs off the pivot hot
-     path and must not clobber the pricing buffers. *)
-  let rho = Svec.create t.m in
-  Lu.btran_unit_sv t.lu ~pos ~dst:rho;
+  (* separation runs between solves, when the pivot row buffers hold
+     nothing the next pivot needs *)
+  pivot_row t pos;
   let row = Array.make t.nt 0.0 in
-  for v = 0 to t.nt - 1 do
-    if t.loc.(v) < 0 then row.(v) <- dot_col t rho.Svec.vals v
+  for s = 0 to t.pnnz - 1 do
+    let v = t.pidx.(s) in
+    row.(v) <- t.prow.(v)
   done;
+  Array.iter (fun v -> row.(v) <- 0.0) t.basis;
   row

@@ -12,8 +12,11 @@
     Pricing is Devex: reference-framework weights over a rotating
     candidate-list window, with Bland's rule as the anti-cycling
     fallback on long degenerate streaks, and a Harris two-pass ratio
-    test with bound flips. Pricing is deterministic: repeated solves of
-    the same problem perform the same pivots.
+    test with bound flips. Phase 2 and the dual method price from
+    reduced costs maintained by one row-wise pivot row per basis change
+    and refreshed exactly at every refactorization and before
+    optimality is declared. Pricing is deterministic: repeated solves
+    of the same problem perform the same pivots.
 
     Integrality restrictions in the problem are ignored here. *)
 
@@ -32,6 +35,15 @@ type tolerances = {
   zero : float;  (** drop threshold for update arithmetic *)
   ratio_tie : float;  (** tie window shared by primal and dual ratio tests *)
   harris : float;  (** Harris pass-1 bound relaxation *)
+  price_tie : float;
+      (** relative window within which Devex pricing scores tie; ties
+          go to the lowest variable index *)
+  dual_start : float;
+      (** largest reduced-cost sign violation a basis may carry and
+          still start the dual method *)
+  degenerate : float;
+      (** step length at or below which a pivot counts as degenerate
+          (long degenerate streaks switch pricing to Bland) *)
 }
 
 val tols : tolerances
@@ -49,13 +61,31 @@ type stats = {
   basis_nnz : int;  (** largest basis nonzero count factored *)
   sparse_solves : int;  (** ftran/btran solves on the hypersparse path *)
   dense_fallbacks : int;  (** solves that swept densely (forced or fallback) *)
+  cols_priced : int;
+      (** columns priced by a dot product: phase-1 pricing and the
+          exact refreshes of the maintained reduced costs *)
+  price_s : float;
+      (** seconds choosing entering variables (phase-1 dot products,
+          window scans, the dual ratio test, reduced-cost refreshes);
+          this and the other [_s] fields are timed only while a trace
+          is active and read 0 otherwise *)
+  duals_s : float;  (** seconds in the btran that solves for the duals *)
+  ftran_s : float;
+      (** seconds in ftran: entering columns, and the basic values the
+          dual method recomputes after each pivot *)
+  btran_s : float;  (** seconds building pivot rows (unit btran + row sweep) *)
+  lu_update_s : float;  (** seconds absorbing pivots into the eta file *)
+  refactor_s : float;
+      (** seconds refactorizing: the factorization plus the basic
+          values recomputed from it *)
 }
 
 val empty_stats : stats
 
 val merge_stats : stats -> stats -> stats
-(** Combine counters from independent solver instances: counts add,
-    gauges ([max_eta], [lu_fill], [basis_nnz]) take the max. *)
+(** Combine counters from independent solver instances: counts and
+    seconds add, gauges ([max_eta], [lu_fill], [basis_nnz]) take the
+    max. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line human-readable rendering. *)
@@ -103,10 +133,13 @@ val primal : t -> float array
 (** Values of the structural variables (length [ncols]). *)
 
 val reduced_costs : t -> float array
-(** Reduced costs of structural variables at the final basis. *)
+(** Reduced costs of structural variables at the final basis, computed
+    fresh from the factorization (one btran), never read from the
+    maintained pricing array. *)
 
 val duals : t -> float array
-(** Row dual multipliers at the final basis. *)
+(** Row dual multipliers at the final basis, computed fresh like
+    {!reduced_costs}. *)
 
 val iterations : t -> int
 (** Total pivots performed since creation, bound flips included. *)
@@ -115,15 +148,17 @@ val stats : t -> stats
 (** Cumulative instrumentation counters since creation. *)
 
 val set_trace : t -> Mm_obs.Trace.sink -> unit
-(** Attach a trace sink: every pivot and refactorization is then timed
-    into per-instance latency histograms (a no-op sink costs one
-    pattern match per pivot). The instance must be driven by the
-    domain owning the sink. *)
+(** Attach a trace sink: every pivot, refactorization and per-pivot
+    phase (price, duals, ftran, btran, lu update) is then timed into
+    per-instance latency histograms and the [_s] fields of {!stats}
+    (a no-op sink costs one pattern match per timed section). The
+    instance must be driven by the domain owning the sink. *)
 
 val flush_trace : t -> unit
-(** Emit the accumulated pivot/refactorization histograms plus
-    bound-flip and Devex-reset count deltas as trace events and reset
-    them; a no-op without an active sink. *)
+(** Emit the accumulated pivot, refactorization and per-phase
+    histograms plus bound-flip, Devex-reset and [cols_priced] count
+    deltas as trace events and reset them; a no-op without an active
+    sink. *)
 
 val refactorize : t -> unit
 (** Discard the eta file, factor the current basis from scratch and
@@ -198,7 +233,7 @@ val var_bounds_all : t -> int -> float * float
 val tableau_row : t -> pos:int -> float array
 (** [tableau_row t ~pos] is row [pos] of [B⁻¹ [A | -I]] as a dense
     array over the internal variable space: the coefficients [a_w] of
-    the basic variable's row [x_B(pos) + Σ_w a_w x_w = 0]. Entries are
-    only computed for nonbasic variables (basic entries read 0 — the
-    unit column of the basic variable itself is implicit). Allocates
-    fresh arrays; meant for separation, not the pivot loop. *)
+    the basic variable's row [x_B(pos) + Σ_w a_w x_w = 0]. Basic
+    entries read 0 (the unit column of the basic variable itself is
+    implicit). Computed like a pivot row and returned in a fresh
+    array; meant for separation between solves, not the pivot loop. *)

@@ -184,6 +184,18 @@ let lp_core_summary (r : Mm_lp.Solver.result) =
       lp.Mm_lp.Simplex.dense_fallbacks s.Mm_lp.Solver.lp_time
       mip.Mm_lp.Branch_bound.max_node_lp_time
   in
+  let pricing_part =
+    Printf.sprintf " | %d columns priced" lp.Mm_lp.Simplex.cols_priced
+    ^
+    if lp.Mm_lp.Simplex.refactor_s > 0.0 then
+      Printf.sprintf
+        " (price %.3fs, duals %.3fs, ftran %.3fs, btran %.3fs, lu update \
+         %.3fs, refactor %.3fs)"
+        lp.Mm_lp.Simplex.price_s lp.Mm_lp.Simplex.duals_s
+        lp.Mm_lp.Simplex.ftran_s lp.Mm_lp.Simplex.btran_s
+        lp.Mm_lp.Simplex.lu_update_s lp.Mm_lp.Simplex.refactor_s
+    else ""
+  in
   let cuts_part =
     if s.Mm_lp.Solver.cuts_added + s.Mm_lp.Solver.node_cuts_added = 0 then ""
     else
@@ -202,7 +214,7 @@ let lp_core_summary (r : Mm_lp.Solver.result) =
         Printf.sprintf " | incumbent from %s"
           (Mm_lp.Branch_bound.incumbent_source_to_string src)
   in
-  let core = core ^ cuts_part ^ inc_part in
+  let core = core ^ pricing_part ^ cuts_part ^ inc_part in
   let par = s.Mm_lp.Solver.parallel in
   if par.Mm_lp.Branch_bound.domains_used <= 1 then core
   else

@@ -30,8 +30,10 @@ val lifetime_chart : Mm_design.Design.t -> string
 
 val lp_core_summary : Mm_lp.Solver.result -> string
 (** One-line rendering of the solver's LP-core instrumentation: nodes,
-    pivots, refactorizations, eta/fill/basis gauges, LP time, the
-    cuts-by-family breakdown and where the incumbent came from. *)
+    pivots, refactorizations, eta/fill/basis gauges, LP time, columns
+    priced by a dot product (plus per-phase pivot seconds when the
+    solve was traced), the cuts-by-family breakdown and where the
+    incumbent came from. *)
 
 val solver_config : Mm_lp.Solver.options -> string
 (** One-line echo of the MIP configuration (cut families, rounds,

@@ -274,23 +274,69 @@ let random_lp_wide_gen =
       let* seed = int_range 0 1_000_000 in
       return (n, mrows, seed))
 
+(* Fresh reduced costs certify the final basis: every nonbasic variable
+   is sign-feasible for its status within [tols.opt]. Structural
+   reduced costs come from [reduced_costs]; a slack's column is -e_r,
+   so its reduced cost is the row dual. *)
+let nonbasic_sign_feasible s (p : Problem.t) =
+  let tol = Simplex.tols.Simplex.opt in
+  let rc = Simplex.reduced_costs s and y = Simplex.duals s in
+  let ok v d =
+    let lb, ub = Simplex.var_bounds_all s v in
+    match Simplex.var_status s v with
+    | Simplex.Basic -> true
+    | Simplex.At_lower -> ub <= lb || d >= -.tol
+    | Simplex.At_upper -> ub <= lb || d <= tol
+    | Simplex.Free_nonbasic -> Float.abs d <= tol
+  in
+  let structural = ref true and slacks = ref true in
+  Array.iteri (fun j d -> if not (ok j d) then structural := false) rc;
+  Array.iteri
+    (fun r d -> if not (ok (p.Problem.ncols + r) d) then slacks := false)
+    y;
+  !structural && !slacks
+
+(* Each arm solves cold, then takes one warm step: the column with the
+   largest value (column 0 when there is none) gets its upper bound
+   halved towards that value and the same instance re-solves from its
+   final basis. Both solves must match a fresh dense oracle on the same
+   bounds, and every Optimal must be certified by fresh reduced costs —
+   a stale maintained reduced cost that declared optimality early fails
+   here. *)
 let prop_sparse_matches_dense_oracle =
   qtest ~count:300
     "sparse LU engine agrees with the dense oracle (primal and dual)"
     random_lp_wide_gen (fun params ->
       let p = build_random_lp params in
+      let agrees s sr d dr =
+        match (sr, dr) with
+        | Simplex.Optimal, Dense_simplex.Optimal ->
+            let a = Simplex.objective s and b = Dense_simplex.objective d in
+            Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.abs b)
+            && nonbasic_sign_feasible s p
+        | Simplex.Infeasible, Dense_simplex.Infeasible -> true
+        | Simplex.Unbounded, Dense_simplex.Unbounded -> true
+        | _ -> false
+      in
       let d = Dense_simplex.create p in
       let dr = Dense_simplex.solve d in
       List.for_all
         (fun prefer_dual ->
           let s = Simplex.create p in
-          match (Simplex.solve ~prefer_dual s, dr) with
-          | Simplex.Optimal, Dense_simplex.Optimal ->
-              let a = Simplex.objective s and b = Dense_simplex.objective d in
-              Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.abs b)
-          | Simplex.Infeasible, Dense_simplex.Infeasible -> true
-          | Simplex.Unbounded, Dense_simplex.Unbounded -> true
-          | _ -> false)
+          let sr = Simplex.solve ~prefer_dual s in
+          agrees s sr d dr
+          &&
+          let x = Simplex.primal s in
+          let j = ref 0 in
+          Array.iteri (fun k v -> if v > x.(!j) then j := k) x;
+          let j = !j in
+          let lb, ub = Simplex.get_bounds s j in
+          let ub' = lb +. ((Float.min ub (Float.max x.(j) lb) -. lb) /. 2.0) in
+          let ub' = if ub' > lb then ub' else lb +. ((ub -. lb) /. 2.0) in
+          Simplex.set_bounds s j lb ub';
+          let d' = Dense_simplex.create p in
+          Dense_simplex.set_bounds d' j lb ub';
+          agrees s (Simplex.solve ~prefer_dual s) d' (Dense_simplex.solve d'))
         [ false; true ])
 
 (* Single-step the solver ([iteration_limit:1] performs exactly one

@@ -76,28 +76,36 @@ let table3_optima =
   [ 302649.; 458822.; 297826.; 810398.; 678153.; 752585.; 78985.; 568072.;
     820457. ]
 
+(* Table-3 points the table3-complete benchmark times through the
+   complete flat ILP (its two largest take tens of seconds). *)
+let complete_points = 7
+
 let test_table3_devex_objectives () =
   (* regression: the global/detailed pipeline reproduces every pinned
-     Table-3 optimum at parallelism 1 and 2 *)
-  List.iter2
-    (fun (p : Table3.point) optimum ->
+     Table-3 optimum at parallelism 1 and 2, and the complete flat ILP
+     reproduces the benchmark's timed points at parallelism 1 *)
+  List.iteri
+    (fun i ((p : Table3.point), optimum) ->
       let board, design = Gen.instance p.Table3.spec in
-      List.iter
-        (fun j ->
-          let solver_options =
-            Mm_lp.Solver.options
-              ~bb:(Mm_lp.Branch_bound.options ~parallelism:j ())
-              ()
-          in
-          let options = Mm_mapping.Mapper.options ~solver_options () in
-          match Mm_mapping.Mapper.run ~options board design with
-          | Ok o ->
-              Alcotest.(check (float 1e-6))
-                (Printf.sprintf "%d segs, j=%d" p.Table3.spec.Gen.segments j)
-                optimum o.Mm_mapping.Mapper.objective
-          | Error e -> Alcotest.fail (Mm_mapping.Mapper.error_to_string e))
-        [ 1; 2 ])
-    Table3.points table3_optima
+      let check method_ label j =
+        let solver_options =
+          Mm_lp.Solver.options
+            ~bb:(Mm_lp.Branch_bound.options ~parallelism:j ())
+            ()
+        in
+        let options = Mm_mapping.Mapper.options ~solver_options () in
+        match Mm_mapping.Mapper.run ~method_ ~options board design with
+        | Ok o ->
+            Alcotest.(check (float 1e-6))
+              (Printf.sprintf "%s %d segs, j=%d" label
+                 p.Table3.spec.Gen.segments j)
+              optimum o.Mm_mapping.Mapper.objective
+        | Error e -> Alcotest.fail (Mm_mapping.Mapper.error_to_string e)
+      in
+      List.iter (check Mm_mapping.Mapper.Global_detailed "global") [ 1; 2 ];
+      if i < complete_points then
+        check Mm_mapping.Mapper.Complete_flat "complete" 1)
+    (List.combine Table3.points table3_optima)
 
 let test_rejects_inconsistent_spec () =
   Alcotest.check_raises "configs not multiple of 5"
