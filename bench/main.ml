@@ -18,6 +18,14 @@ let quick_cap () = if !full_mode then 900.0 else 60.0
 
 let line fmt = Printf.ksprintf (fun s -> print_string s; print_newline ()) fmt
 
+(* Every experiment that records results overwrites the one
+   BENCH_lp.json with its buffer; [what] names it in the log line. *)
+let write_bench_lp what buf =
+  let oc = open_out "BENCH_lp.json" in
+  output_string oc (Buffer.contents buf);
+  close_out oc;
+  line "wrote BENCH_lp.json (%s)" what
+
 let header title =
   line "";
   line "==============================================================";
@@ -202,8 +210,6 @@ type t3_cell = {
   cuts_dropped : int;
   cuts_fams : (string * int) list;
   incumbent : string;
-  sparse_solves : int;
-  dense_fallbacks : int;
 }
 
 (* Traced re-run of the serial global leg: wall time with tracing
@@ -227,17 +233,6 @@ type t3_row = {
      the full-pool cells above they form the cuts_ab record *)
   global_base : t3_cell;
   complete_base : t3_cell;
-  (* forced-kernel re-runs of the serial legs (Lu.Dense / Lu.Sparse);
-     paired they form the hypersparse_ab record.
-     The default legs above run [Auto], which at Table-3 sizes (m well
-     below the floor) takes the dense sweeps, so the A/B needs its own
-     forced-Sparse leg to exercise the hypersparse kernel.  All kernels
-     follow the identical pivot trajectory, so pivot counts must match
-     cell for cell. *)
-  global_dlu : t3_cell;
-  complete_dlu : t3_cell;
-  global_slu : t3_cell;
-  complete_slu : t3_cell;
   traced : t3_traced;
 }
 
@@ -260,8 +255,6 @@ let failed_cell seconds =
     cuts_dropped = 0;
     cuts_fams = [];
     incumbent = "none";
-    sparse_solves = 0;
-    dense_fallbacks = 0;
   }
 
 let cell_of_outcome seconds (o : Mm_mapping.Mapper.outcome) =
@@ -284,10 +277,6 @@ let cell_of_outcome seconds (o : Mm_mapping.Mapper.outcome) =
     incumbent =
       Mm_lp.Branch_bound.incumbent_source_to_string
         mip.Mm_lp.Branch_bound.incumbent_source;
-    sparse_solves =
-      r.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.sparse_solves;
-    dense_fallbacks =
-      r.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.dense_fallbacks;
   }
 
 let table3_cache : t3_row list option ref = ref None
@@ -297,11 +286,9 @@ let measure_table3 () =
   | Some rows -> rows
   | None ->
       let cap = quick_cap () in
-      let solver ?parallelism ?lu_kernel () =
+      let solver ?parallelism () =
         Mm_lp.Solver.options
-          ~bb:
-            (Mm_lp.Branch_bound.options ~time_limit:cap ?parallelism
-               ?lu_kernel ())
+          ~bb:(Mm_lp.Branch_bound.options ~time_limit:cap ?parallelism ())
           ()
       in
       let mapper solver_options =
@@ -312,11 +299,6 @@ let measure_table3 () =
          covers at the root only, no heuristics — the other arm of the
          cuts_ab record (the default legs run the full pool) *)
       let opts_base = mapper (Mm_lp.Solver.cover_only (solver ())) in
-      (* identical budget with each FTRAN/BTRAN kernel forced: the two
-         arms of the hypersparse_ab record (the default legs above run
-         [Auto], which is dense at these basis sizes) *)
-      let opts_dlu = mapper (solver ~lu_kernel:Mm_lp.Lu.Dense ()) in
-      let opts_slu = mapper (solver ~lu_kernel:Mm_lp.Lu.Sparse ()) in
       (* same budget, [bench_parallelism] worker domains; the serial leg
          stays the recorded baseline *)
       let opts_par = mapper (solver ~parallelism:bench_parallelism ()) in
@@ -360,34 +342,6 @@ let measure_table3 () =
             let complete = measure_complete opts in
             let global_base = measure_global opts_base board design in
             let complete_base = measure_complete opts_base in
-            let global_dlu = measure_global opts_dlu board design in
-            let complete_dlu = measure_complete opts_dlu in
-            let global_slu = measure_global opts_slu board design in
-            let complete_slu = measure_complete opts_slu in
-            List.iter
-              (fun (leg, sp, dn) ->
-                (match (sp.objective, dn.objective) with
-                | Some a, Some b when Float.abs (a -. b) > 1e-6 ->
-                    Printf.eprintf
-                      "table3: WARNING %s sparse/dense-LU objective mismatch \
-                       (%g vs %g)\n\
-                       %!"
-                      leg a b
-                | _ -> ());
-                if
-                  sp.optimal && dn.optimal && sp.pivots <> dn.pivots
-                then
-                  Printf.eprintf
-                    "table3: WARNING %s sparse/dense-LU pivot trajectory \
-                     diverged (%d vs %d)\n\
-                     %!"
-                    leg sp.pivots dn.pivots)
-              [
-                ("global", global_slu, global_dlu);
-                ("complete", complete_slu, complete_dlu);
-                ("global-auto", global, global_dlu);
-                ("complete-auto", complete, complete_dlu);
-              ];
             List.iter
               (fun (leg, full, base) ->
                 match (full, base) with
@@ -436,7 +390,7 @@ let measure_table3 () =
               { traced_seconds; phases; counters }
             in
             { point; global; global_par; complete; global_base; complete_base;
-              global_dlu; complete_dlu; global_slu; complete_slu; traced })
+              traced })
           Mm_workload.Table3.points
       in
       table3_cache := Some rows;
@@ -498,34 +452,6 @@ let cuts_pair ~baseline ~full =
   Printf.sprintf
     "{ \"cover_only\": %s, \"full_pool\": %s, \"node_reduction_pct\": %s }"
     (leg baseline) (leg full) reduction
-
-(* Hypersparse-vs-dense LU kernel A/B record for one formulation: both
-   measurements plus the headline wall-clock speedup (null unless both
-   legs proved optimality with matching objectives). The kernels follow
-   the identical pivot trajectory, so the pivot counts must also match;
-   the sparse leg additionally reports how many triangular solves ran
-   hypersparse vs fell back to the dense sweep. *)
-let hypersparse_pair ~dense ~sparse =
-  let num v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let opt_num = function Some v -> num v | None -> "null" in
-  let leg c =
-    Printf.sprintf
-      "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s, \"pivots\": %d, \
-       \"sparse_solves\": %d, \"dense_fallbacks\": %d }"
-      (num c.seconds) c.optimal (opt_num c.objective) c.pivots c.sparse_solves
-      c.dense_fallbacks
-  in
-  let speedup =
-    match (dense.objective, sparse.objective) with
-    | Some a, Some b
-      when dense.optimal && sparse.optimal
-           && Float.abs (a -. b) <= 1e-6
-           && sparse.seconds > 0.0 ->
-        Printf.sprintf "%.2f" (dense.seconds /. sparse.seconds)
-    | _ -> "null"
-  in
-  Printf.sprintf "{ \"dense\": %s, \"sparse\": %s, \"speedup\": %s }"
-    (leg dense) (leg sparse) speedup
 
 (* Machine-readable record of the Table-3 sweep: per design point, wall
    time, status, objective, simplex pivots and branch-and-bound nodes for
@@ -590,12 +516,6 @@ let write_bench_json rows =
           (cuts_pair ~baseline:r.complete_base ~full:r.complete)
           (cuts_pair ~baseline:r.global_base ~full:r.global)
       in
-      let hypersparse_ab =
-        Printf.sprintf
-          "{ \"complete\": %s, \"global\": %s }"
-          (hypersparse_pair ~dense:r.complete_dlu ~sparse:r.complete_slu)
-          (hypersparse_pair ~dense:r.global_dlu ~sparse:r.global_slu)
-      in
       Buffer.add_string buf
         (Printf.sprintf
            "    { \"segments\": %d, \"banks\": %d, \"ports\": %d, \"configs\": %d,\n\
@@ -604,12 +524,11 @@ let write_bench_json rows =
            \      \"global_parallel\": %s,\n\
            \      \"global_traced\": %s,\n\
            \      \"cuts_ab\": %s,\n\
-           \      \"hypersparse_ab\": %s,\n\
            \      \"complete_dense_baseline_60s\": %s }%s\n"
            spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks
            spec.Mm_workload.Gen.ports spec.Mm_workload.Gen.configs
            (cell r.complete) (cell r.global) (par_cell r.global_par) traced
-           cuts_ab hypersparse_ab dense
+           cuts_ab dense
            (if i < List.length rows - 1 then "," else ""))
     )
     rows;
@@ -635,10 +554,7 @@ let write_bench_json rows =
             (100.0 *. (traced_total -. untraced_total) /. untraced_total)
         else "null"));
   Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (%d points)" (List.length rows)
+  write_bench_lp (Printf.sprintf "%d points" (List.length rows)) buf
 
 let fmt_time seconds optimal =
   if Float.is_nan seconds then "failed"
@@ -728,40 +644,6 @@ let run_table3 () =
     rows;
   Table.print ct;
   line "";
-  line "Hypersparse LU A/B, complete formulation (forced-dense FTRAN/BTRAN";
-  line "vs forced-hypersparse with density fallback; identical pivot";
-  line "trajectory — the production Auto kernel runs dense at these sizes):";
-  let ht =
-    Table.create
-      [
-        ("#segs", Table.Right);
-        ("dense (s)", Table.Right);
-        ("sparse (s)", Table.Right);
-        ("speedup", Table.Right);
-        ("pivots", Table.Right);
-        ("solves (sparse/fallback)", Table.Right);
-      ]
-  in
-  List.iter
-    (fun r ->
-      let dn = r.complete_dlu and sp = r.complete_slu in
-      let speedup =
-        if dn.optimal && sp.optimal && sp.seconds > 0.0 then
-          Printf.sprintf "%.2fx" (dn.seconds /. sp.seconds)
-        else "-"
-      in
-      Table.add_row ht
-        [
-          string_of_int r.point.Mm_workload.Table3.spec.Mm_workload.Gen.segments;
-          fmt_time dn.seconds dn.optimal;
-          fmt_time sp.seconds sp.optimal;
-          speedup;
-          (if sp.pivots = dn.pivots then string_of_int sp.pivots
-           else Printf.sprintf "%d!=%d" sp.pivots dn.pivots);
-          Printf.sprintf "%d/%d" sp.sparse_solves sp.dense_fallbacks;
-        ])
-    rows;
-  Table.print ht;
   write_bench_json rows
 
 let run_fig4 () =
@@ -1257,10 +1139,7 @@ let run_cuts_smoke () =
            (if i < List.length results - 1 then "," else "")))
     results;
   Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (cuts smoke)";
+  write_bench_lp "cuts smoke" buf;
   let mismatched =
     List.filter
       (fun ((_, base, full) : string * t3_cell * t3_cell) ->
@@ -1397,10 +1276,7 @@ let run_serve_smoke () =
   Buffer.add_string buf
     (Printf.sprintf "    \"pivot_reduction_percent\": %.2f\n" reduction);
   Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (serve smoke)";
+  write_bench_lp "serve smoke" buf;
   let misses =
     List.filter (fun (i, _, hit, _, _, _) -> i > 0 && not hit) shots
   in
@@ -1668,10 +1544,7 @@ let run_serve_batch_ab () =
     (Printf.sprintf "    \"throughput_gain_percent\": %.2f\n"
        (100. *. (rps bat_shots -. rps unb_shots) /. Float.max 1e-9 (rps unb_shots)));
   Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (serve batch A/B)";
+  write_bench_lp "serve batch A/B" buf;
   line
     "both arms agree on the objective; batched arm formed %d batches \
      (%d coalesced, %d warm hits)."
@@ -1717,26 +1590,15 @@ let run_scaling () =
         | Ok b ->
             let p = b.Mm_mapping.Global_ilp.problem in
             let model_seconds = Unix.gettimeofday () -. t0 in
-            let options ?lu_kernel () =
+            let options =
               Mm_lp.Solver.options
                 ~bb:
                   (Mm_lp.Branch_bound.options ~time_limit:cap
-                     ~parallelism:bench_parallelism ?lu_kernel ())
+                     ~parallelism:bench_parallelism ())
                 ()
             in
-            let r = Mm_lp.Solver.solve ~options:(options ()) p in
-            let mip = r.Mm_lp.Solver.mip in
-            (* dense-LU re-solve under the same budget: the scale-tier
-               leg of the hypersparse A/B. The primary leg runs the
-               production Auto kernel, which is sparse-active from s3
-               up (m >= 2048) and dense below — so this pair measures
-               the hypersparse win exactly where production engages
-               it, and reads ~1.0x on the small tiers. *)
-            let rd =
-              Mm_lp.Solver.solve ~options:(options ~lu_kernel:Mm_lp.Lu.Dense ())
-                p
-            in
-            (tier, p, model_seconds, r, mip, rd))
+            let r = Mm_lp.Solver.solve ~options p in
+            (tier, p, model_seconds, r, r.Mm_lp.Solver.mip))
       tiers
   in
   let pivots_per_second (r : Mm_lp.Solver.result) =
@@ -1762,7 +1624,6 @@ let run_scaling () =
         ("rows", Table.Right);
         ("model (s)", Table.Right);
         ("solve (s)", Table.Right);
-        ("dense-LU (s)", Table.Right);
         ("nodes", Table.Right);
         ("pivots", Table.Right);
         ("pivots/s", Table.Right);
@@ -1770,7 +1631,7 @@ let run_scaling () =
       ]
   in
   List.iter
-    (fun ((tier : Mm_workload.Gen.tier), p, model_seconds, r, mip, rd) ->
+    (fun ((tier : Mm_workload.Gen.tier), p, model_seconds, r, mip) ->
       Table.add_row t
         [
           tier.Mm_workload.Gen.tier_name;
@@ -1780,7 +1641,6 @@ let run_scaling () =
           string_of_int p.Mm_lp.Problem.nrows;
           Printf.sprintf "%.2f" model_seconds;
           Printf.sprintf "%.2f" mip.Mm_lp.Branch_bound.time;
-          Printf.sprintf "%.2f" rd.Mm_lp.Solver.mip.Mm_lp.Branch_bound.time;
           string_of_int mip.Mm_lp.Branch_bound.nodes;
           string_of_int r.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.pivots;
           Printf.sprintf "%.0f" (pivots_per_second r);
@@ -1789,11 +1649,11 @@ let run_scaling () =
     shots;
   Table.print t;
   (* model budget: generation plus ILP freeze; throughput floor is in
-     pivots per second of LP time. Pinned to the measured hypersparse
-     A/B on this ladder: the slowest point (s3 under the 60s quick cap,
-     parallelism 2) sustains ~325 pivots/s under either kernel, so 250
-     leaves headroom for machine noise while still catching a fallback
-     to pre-hypersparse per-pass cost. *)
+     pivots per second of LP time. The slowest point of this ladder (s3
+     under the 60s quick cap, parallelism 2) sustained ~325 pivots/s
+     when the floor was set, so 250 leaves headroom for machine noise
+     while still catching a per-pivot cost that grows by a
+     complexity class. *)
   let model_budget = if !full_mode then 120.0 else 30.0 in
   let throughput_floor = 250.0 in
   let buf = Buffer.create 1024 in
@@ -1803,40 +1663,30 @@ let run_scaling () =
     (Printf.sprintf "  \"parallelism\": %d,\n" bench_parallelism);
   Buffer.add_string buf "  \"scaling\": [\n";
   List.iteri
-    (fun i ((tier : Mm_workload.Gen.tier), p, model_seconds, r, mip, rd) ->
+    (fun i ((tier : Mm_workload.Gen.tier), p, model_seconds, r, mip) ->
       let spec = tier.Mm_workload.Gen.spec in
-      let dmip = rd.Mm_lp.Solver.mip in
       let lp = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp in
       Buffer.add_string buf
         (Printf.sprintf
            "    { \"tier\": %S, \"segments\": %d, \"banks\": %d, \"ports\": \
             %d, \"configs\": %d, \"vars\": %d, \"rows\": %d, \
             \"model_seconds\": %.3f, \"solve_seconds\": %.3f, \"nodes\": %d, \
-            \"pivots\": %d, \"pivots_per_second\": %.1f, \"sparse_solves\": \
-            %d, \"dense_fallbacks\": %d, \"status\": %S,\n\
-           \      \"hypersparse_ab\": { \"dense_solve_seconds\": %.3f, \
-            \"dense_pivots\": %d, \"dense_pivots_per_second\": %.1f, \
-            \"dense_status\": %S } }%s\n"
+            \"pivots\": %d, \"pivots_per_second\": %.1f, \"lu_solves\": \
+            %d, \"status\": %S }%s\n"
            tier.Mm_workload.Gen.tier_name spec.Mm_workload.Gen.segments
            spec.Mm_workload.Gen.banks spec.Mm_workload.Gen.ports
            spec.Mm_workload.Gen.configs p.Mm_lp.Problem.ncols
            p.Mm_lp.Problem.nrows model_seconds mip.Mm_lp.Branch_bound.time
            mip.Mm_lp.Branch_bound.nodes lp.Mm_lp.Simplex.pivots
-           (pivots_per_second r) lp.Mm_lp.Simplex.sparse_solves
-           lp.Mm_lp.Simplex.dense_fallbacks (status_name mip)
-           dmip.Mm_lp.Branch_bound.time
-           rd.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.pivots
-           (pivots_per_second rd) (status_name dmip)
+           (pivots_per_second r) lp.Mm_lp.Simplex.dense_fallbacks
+           (status_name mip)
            (if i = List.length shots - 1 then "" else ",")))
     shots;
   Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (scaling, %d tiers)" (List.length shots);
+  write_bench_lp (Printf.sprintf "scaling, %d tiers" (List.length shots)) buf;
   let failures = ref [] in
   List.iter
-    (fun ((tier : Mm_workload.Gen.tier), _, model_seconds, r, mip, _) ->
+    (fun ((tier : Mm_workload.Gen.tier), _, model_seconds, r, mip) ->
       let name = tier.Mm_workload.Gen.tier_name in
       if model_seconds > model_budget then
         failures :=

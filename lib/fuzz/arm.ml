@@ -6,13 +6,11 @@ type cuts_mode = Full | Off | Baseline
 type t = {
   name : string;
   parallelism : int;
-  lu_kernel : Mm_lp.Lu.kernel;
   cuts : cuts_mode;
   warm : bool;
 }
 
-let mk ?(lu_kernel = Mm_lp.Lu.Auto) name parallelism cuts warm =
-  { name; parallelism; lu_kernel; cuts; warm }
+let mk name parallelism cuts warm = { name; parallelism; cuts; warm }
 
 let reference = mk "j1-devex-full" 1 Full false
 
@@ -23,23 +21,15 @@ let matrix =
     mk "j1-devex-baseline" 1 Baseline false;
     mk "j2-devex-baseline" 2 Baseline false;
     mk "j2-devex-full-warm" 2 Full true;
-    (* fuzz instances sit far below the Auto size floor, so the Auto
-       arms all run dense sweeps and a serial Auto arm would repeat its
-       forced-Dense twin pivot for pivot; the forced-Sparse [-slu] arms
-       are what actually drags the hypersparse path through the
-       campaign, and the forced-Dense [-dlu] arms pin the baseline. *)
-    mk ~lu_kernel:Mm_lp.Lu.Sparse "j1-devex-full-slu" 1 Full false;
-    mk ~lu_kernel:Mm_lp.Lu.Sparse "j2-devex-full-slu" 2 Full false;
-    mk ~lu_kernel:Mm_lp.Lu.Dense "j1-devex-nocuts-dlu" 1 Off false;
-    mk ~lu_kernel:Mm_lp.Lu.Dense "j1-devex-full-warm-dlu" 1 Full true;
+    mk "j1-devex-nocuts" 1 Off false;
+    mk "j1-devex-full-warm" 1 Full true;
   ]
 
 let solver_options ?time_limit t =
   let o =
     Solver.options ~cuts:(t.cuts <> Off)
       ~bb:
-        (Branch_bound.options ?time_limit ~parallelism:t.parallelism
-           ~lu_kernel:t.lu_kernel ())
+        (Branch_bound.options ?time_limit ~parallelism:t.parallelism ())
       ()
   in
   if t.cuts = Baseline then Solver.cover_only o else o

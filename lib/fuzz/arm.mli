@@ -4,22 +4,14 @@
     instance; a disagreement between any arm and the reference is a
     solver bug by construction. The matrix spans [parallelism] (1, 2,
     4), the cut configuration (full pool, cuts off, the
-    {!Mm_lp.Solver.cover_only} baseline), warm vs cold starts, and the LU
-    triangular-solve kernel. Fuzz instances sit below the [Auto]
-    kernel's size floor, so the forced-Sparse [-slu] arms are what
-    exercises the hypersparse path and the forced-Dense [-dlu] arms
-    pin the baseline — every kernel must reproduce the reference's
-    trajectory pivot for pivot, so any numeric divergence between the
-    kernels surfaces as an objective or status disagreement. *)
+    {!Mm_lp.Solver.cover_only} baseline) and warm vs cold starts, with
+    one serial and one parallel warm arm. *)
 
 type cuts_mode = Full | Off | Baseline
 
 type t = {
   name : string;
   parallelism : int;
-  lu_kernel : Mm_lp.Lu.kernel;
-      (** FTRAN/BTRAN kernel; forced-[Sparse] arms carry a [-slu] name
-          suffix, forced-[Dense] arms [-dlu] *)
   cuts : cuts_mode;
   warm : bool;
       (** solve twice through one {!Mm_lp.Solver.warm} state and report

@@ -11,7 +11,6 @@ type options = {
   int_tol : float;
   log_every : int option;
   parallelism : int;
-  lu_kernel : Lu.kernel;
   trace : Mm_obs.Trace.t;
   node_cut_depth : int;
   node_cut_freq : int;
@@ -25,7 +24,6 @@ let default_options =
     int_tol = 1e-6;
     log_every = None;
     parallelism = 1;
-    lu_kernel = Lu.Auto;
     trace = Mm_obs.Trace.disabled;
     node_cut_depth = 2;
     node_cut_freq = 4;
@@ -34,7 +32,7 @@ let default_options =
 let options ?time_limit ?node_limit ?(gap_tol = default_options.gap_tol)
     ?(int_tol = default_options.int_tol) ?log_every
     ?(parallelism = default_options.parallelism)
-    ?(lu_kernel = default_options.lu_kernel) ?(trace = default_options.trace)
+    ?(trace = default_options.trace)
     ?(node_cut_depth = default_options.node_cut_depth)
     ?(node_cut_freq = default_options.node_cut_freq) () =
   {
@@ -44,7 +42,6 @@ let options ?time_limit ?node_limit ?(gap_tol = default_options.gap_tol)
     int_tol;
     log_every;
     parallelism;
-    lu_kernel;
     trace;
     node_cut_depth;
     node_cut_freq;
@@ -567,7 +564,7 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
     done
   in
   let make_workspace id =
-    let sx = Simplex.create ~lu_kernel:options.lu_kernel p in
+    let sx = Simplex.create p in
     Simplex.set_trace sx sinks.(id);
     {
       id;

@@ -39,13 +39,6 @@ type options = {
       (** worker domains for the tree search; 1 (default) is the
           deterministic serial schedule, [<= 0] asks the runtime for
           [Domain.recommended_domain_count ()] *)
-  lu_kernel : Lu.kernel;
-      (** triangular-solve kernel for every simplex workspace of the
-          solve (per-domain tree workspaces, and through {!Solver} the
-          root cut loop and the diving heuristic), default {!Lu.Auto}
-          (hypersparse on large bases with automatic dense fallback).
-          {!Lu.Sparse}/{!Lu.Dense} force one path; they are test hooks
-          for differential checks and A/B runs, not user settings *)
   trace : Mm_obs.Trace.t;
       (** structured tracing (default disabled): each worker domain
           registers one sink and records node, incumbent, steal and
@@ -71,7 +64,6 @@ val options :
   ?int_tol:float ->
   ?log_every:int ->
   ?parallelism:int ->
-  ?lu_kernel:Lu.kernel ->
   ?trace:Mm_obs.Trace.t ->
   ?node_cut_depth:int ->
   ?node_cut_freq:int ->

@@ -194,7 +194,7 @@ let prune t p =
    the loop immediately (traced as [cut_noop_round]); the last allowed
    round's cuts are kept without a further re-solve since they still
    strengthen the branch-and-bound relaxations. *)
-let root_loop ?basis ?deadline ?lu_kernel ~snk t =
+let root_loop ?basis ?deadline ~snk t =
   let opts = t.opts in
   let lp_stats = ref Simplex.empty_stats and lp_time = ref 0.0 in
   let finish sx =
@@ -254,7 +254,7 @@ let root_loop ?basis ?deadline ?lu_kernel ~snk t =
   let final =
     if opts.rounds <= 0 || opts.separators = [] then t.base
     else begin
-      let sx0 = Simplex.create ?lu_kernel t.base in
+      let sx0 = Simplex.create t.base in
       (* warm restart: a basis cached from a previous solve of the same
          base problem replaces the slack basis before the first solve *)
       (match basis with

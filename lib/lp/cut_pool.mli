@@ -45,7 +45,6 @@ type root_stats = {
 val root_loop :
   ?basis:Simplex.basis ->
   ?deadline:float ->
-  ?lu_kernel:Lu.kernel ->
   snk:Mm_obs.Trace.sink ->
   t ->
   Problem.t * root_stats

@@ -94,13 +94,13 @@ let round_point p ~gubs ~ints x =
     if Problem.max_violation p r <= 1e-7 then Some r else None
   end
 
-let run ?deadline ?lu_kernel ~snk (p : Problem.t) =
+let run ?deadline ~snk (p : Problem.t) =
   let none = { incumbent = None; dives = 0; lp = Simplex.empty_stats; lp_time = 0.0 } in
   if Problem.num_integer p = 0 then none
   else begin
     let gubs = gub_rows p in
     let ints = int_vars p in
-    let sx = Simplex.create ?lu_kernel p in
+    let sx = Simplex.create p in
     Simplex.set_trace sx snk;
     let lp_time = ref 0.0 in
     let timed_solve ~prefer_dual () =

@@ -171,11 +171,9 @@ let merge_stats a b =
 let pp_stats fmt s =
   Format.fprintf fmt
     "%d pivots (%d phase-1, %d flips), %d refactorizations, %d devex resets, \
-     eta<=%d, fill %d, basis nnz %d, %d sparse solves, %d dense fallbacks, \
-     %d columns priced"
+     eta<=%d, fill %d, basis nnz %d, %d LU solves, %d columns priced"
     s.pivots s.phase1_pivots s.flips s.refactorizations s.devex_resets
-    s.max_eta s.lu_fill s.basis_nnz s.sparse_solves s.dense_fallbacks
-    s.cols_priced;
+    s.max_eta s.lu_fill s.basis_nnz s.dense_fallbacks s.cols_priced;
   if s.refactor_s > 0.0 then
     Format.fprintf fmt
       " (price %.3fs, duals %.3fs, ftran %.3fs, btran %.3fs, lu update \
@@ -214,17 +212,14 @@ type t = {
   btran_hist : Mm_obs.Trace.hist; (* btran result density, permille *)
   phase_ns : int array; (* per-phase nanoseconds, see [ph_price].. *)
   phase_hist : Mm_obs.Trace.hist array; (* per-phase latencies, same index *)
-  (* hypersparse counters harvested from retired Lu instances; the live
-     instance's counts are added on top by [stats] *)
-  mutable acc_sparse : int;
-  mutable acc_dense : int;
-  y : Svec.t; (* duals, row-indexed; dense backing read by pricing *)
-  alpha : Svec.t; (* entering column B^-1 A_q, pos-indexed *)
+  mutable nsolves : int; (* LU ftran/btran solves *)
+  y : float array; (* duals, row-indexed *)
+  alpha : float array; (* entering column B^-1 A_q, pos-indexed *)
   beta : float array; (* compute_basics scratch, pos-indexed *)
-  rhs : Svec.t; (* row-indexed scratch for ftran inputs *)
+  rhs : float array; (* row-indexed ftran input, all-zero between solves *)
   bwork : float array; (* compute_basics accumulation scratch *)
-  cbw : Svec.t; (* pos-indexed scratch for btran inputs *)
-  rho : Svec.t; (* row [ip] of the basis inverse *)
+  cbw : float array; (* pos-indexed scratch for btran inputs *)
+  rho : float array; (* row [ip] of the basis inverse *)
   prow : float array; (* pivot row rho^T [A | -I], per variable *)
   pidx : int array; (* variables with an entry in [prow] *)
   mutable pnnz : int;
@@ -270,58 +265,54 @@ let dot_col t y j =
   end
   else 0.0 -. y.(j - t.n)
 
-(* alpha := B^-1 A_j, hypersparse: the packed column ftrans through the
-   sparse kernel and alpha's pattern drives the ratio test, the step
-   application, the eta build and the dual weight updates *)
+(* Calls [f i v] for each nonzero [v = a.(i)] in ascending [i]: the
+   order in which the ratio test, the step, the weight updates and the
+   pivot row visit a solve result, which fixes their tie-breaking. *)
+let iter_nonzero a f =
+  for i = 0 to Array.length a - 1 do
+    let v = a.(i) in
+    if v <> 0.0 then f i v
+  done
+
+(* Records the nonzero share of a solve result, in permille, into a
+   density histogram; the count is only taken under an active trace. *)
+let record_density t h v =
+  if Mm_obs.Trace.active t.tr then begin
+    let nz = ref 0 in
+    iter_nonzero v (fun _ _ -> incr nz);
+    Mm_obs.Trace.hist_add h (Int64.of_int (1000 * !nz / max 1 t.m))
+  end
+
+(* alpha := B^-1 A_j *)
 let ftran t j =
   let h0 = tick t in
-  Svec.clear t.rhs;
-  col_iter t j (fun r a -> Svec.set t.rhs r a);
-  Lu.ftran_sv t.lu ~src:t.rhs ~dst:t.alpha;
-  if Mm_obs.Trace.active t.tr then
-    Mm_obs.Trace.hist_add t.ftran_hist
-      (Int64.of_int (1000 * Svec.nnz t.alpha / max 1 t.m));
+  col_iter t j (fun r a -> t.rhs.(r) <- a);
+  Lu.ftran t.lu ~src:t.rhs ~dst:t.alpha;
+  col_iter t j (fun r _ -> t.rhs.(r) <- 0.0);
+  t.nsolves <- t.nsolves + 1;
+  record_density t t.ftran_hist t.alpha;
   tock t ph_ftran h0
 
 (* --- duals and the pivot row ------------------------------------------- *)
 
 let compute_duals t costs =
-  (* in phase 1 only the (few) infeasible basics carry cost, so the
-     right-hand side is typically hypersparse and the btran cheap *)
   let h0 = tick t in
-  Svec.clear t.cbw;
   for k = 0 to t.m - 1 do
     let c = costs.(t.basis.(k)) in
-    if c <> 0.0 then Svec.set t.cbw k c
+    (* a -0.0 cost enters the solve as +0.0 *)
+    t.cbw.(k) <- (if c <> 0.0 then c else 0.0)
   done;
-  Lu.btran_sv t.lu ~src:t.cbw ~dst:t.y;
-  if Mm_obs.Trace.active t.tr then
-    Mm_obs.Trace.hist_add t.btran_hist
-      (Int64.of_int (1000 * Svec.nnz t.y / max 1 t.m));
+  Lu.btran t.lu ~src:t.cbw ~dst:t.y;
+  t.nsolves <- t.nsolves + 1;
+  record_density t t.btran_hist t.y;
   tock t ph_duals h0
-
-(* Visits rho's entries as [Svec.iter] would — ascending rows, from the
-   pattern when it is known — skipping exact zeros. *)
-let iter_nonzero (rho : Svec.t) f =
-  let vals = rho.Svec.vals in
-  if rho.Svec.nnz >= 0 then
-    for s = 0 to rho.Svec.nnz - 1 do
-      let r = rho.Svec.idx.(s) in
-      let rr = vals.(r) in
-      if rr <> 0.0 then f r rr
-    done
-  else
-    for r = 0 to Array.length vals - 1 do
-      let rr = vals.(r) in
-      if rr <> 0.0 then f r rr
-    done
 
 (* The pivot row alpha_r = rho^T [A | -I] of basis position [ip] into
    [prow], its support listed in [pidx]: one btran of e_ip (into [rho]),
    then a sweep over rho's nonzero rows. Rows come in ascending order
    and exact zeros of rho are skipped, so every entry is summed in the
-   order [dot_col rho v] would sum it: bit-identical under either LU
-   kernel, at a cost proportional to the rows rho actually reaches.
+   order [dot_col rho v] would sum it, at a cost proportional to the
+   rows rho actually reaches.
    Called before the basis change, while [t.lu] still factors the
    outgoing basis. *)
 let pivot_row t ip =
@@ -333,10 +324,9 @@ let pivot_row t ip =
     Bytes.unsafe_set pmark v '\000'
   done;
   t.pnnz <- 0;
-  Lu.btran_unit_sv t.lu ~pos:ip ~dst:t.rho;
-  if Mm_obs.Trace.active t.tr then
-    Mm_obs.Trace.hist_add t.btran_hist
-      (Int64.of_int (1000 * Svec.nnz t.rho / max 1 t.m));
+  Lu.btran_unit t.lu ~pos:ip ~dst:t.rho;
+  t.nsolves <- t.nsolves + 1;
+  record_density t t.btran_hist t.rho;
   iter_nonzero t.rho (fun r rr ->
       let idx, a = t.p.Problem.rows.(r) in
       let np = ref t.pnnz in
@@ -363,7 +353,7 @@ let refresh_d t =
   let h0 = tick t in
   for v = 0 to t.nt - 1 do
     if t.loc.(v) < 0 then begin
-      t.d.(v) <- t.cost.(v) -. dot_col t t.y.Svec.vals v;
+      t.d.(v) <- t.cost.(v) -. dot_col t t.y v;
       t.ncols_priced <- t.ncols_priced + 1
     end
     else t.d.(v) <- 0.0
@@ -401,8 +391,6 @@ let nonbasic_value t v =
   | _ -> invalid_arg "nonbasic_value: basic"
 
 let compute_basics t =
-  (* the right-hand side accumulates over all nonbasic columns, so it
-     is dense in general: use the dense scratch and entry point *)
   let b = t.bwork in
   Array.fill b 0 t.m 0.0;
   for v = 0 to t.nt - 1 do
@@ -413,6 +401,7 @@ let compute_basics t =
     end
   done;
   Lu.ftran t.lu ~src:b ~dst:t.beta;
+  t.nsolves <- t.nsolves + 1;
   for k = 0 to t.m - 1 do
     t.xval.(t.basis.(k)) <- t.beta.(k)
   done
@@ -430,18 +419,10 @@ let reset_to_slack_basis t =
   done
 
 let factor_current t =
-  Lu.factor ~kernel:(Lu.kernel t.lu) ~m:t.m (fun k f ->
-      col_iter t t.basis.(k) f)
-
-(* the Lu instance is replaced on every refactorization, so fold its
-   solve counters into the accumulators before retiring it *)
-let harvest_lu_counters t =
-  t.acc_sparse <- t.acc_sparse + Lu.sparse_solves t.lu;
-  t.acc_dense <- t.acc_dense + Lu.dense_fallbacks t.lu
+  Lu.factor ~m:t.m (fun k f -> col_iter t t.basis.(k) f)
 
 let refactor t =
   let h0 = tick t in
-  harvest_lu_counters t;
   (try t.lu <- factor_current t
    with Lu.Singular ->
      reset_to_slack_basis t;
@@ -456,7 +437,7 @@ let refactor t =
 
 let refactorize = refactor
 
-let create ?(lu_kernel = Lu.Auto) p =
+let create p =
   let n = p.Problem.ncols and m = p.Problem.nrows in
   let nt = n + m in
   let lb = Array.make nt 0.0 and ub = Array.make nt 0.0 in
@@ -481,7 +462,7 @@ let create ?(lu_kernel = Lu.Auto) p =
       basis = Array.make m 0;
       loc = Array.make nt (-1);
       (* slack basis: column at position k is -e_k *)
-      lu = Lu.factor ~kernel:lu_kernel ~m (fun k f -> f k (-1.0));
+      lu = Lu.factor ~m (fun k f -> f k (-1.0));
       xval = Array.make nt 0.0;
       niter = 0;
       phase1_iters = 0;
@@ -504,15 +485,14 @@ let create ?(lu_kernel = Lu.Auto) p =
       phase_ns = Array.make (Array.length phase_names) 0;
       phase_hist =
         Array.map (fun _ -> Mm_obs.Trace.hist_create ()) phase_names;
-      acc_sparse = 0;
-      acc_dense = 0;
-      y = Svec.create m;
-      alpha = Svec.create m;
+      nsolves = 0;
+      y = Array.make m 0.0;
+      alpha = Array.make m 0.0;
       beta = Array.make m 0.0;
-      rhs = Svec.create m;
+      rhs = Array.make m 0.0;
       bwork = Array.make m 0.0;
-      cbw = Svec.create m;
-      rho = Svec.create m;
+      cbw = Array.make m 0.0;
+      rho = Array.make m 0.0;
       prow = Array.make nt 0.0;
       pidx = Array.make nt 0;
       pnnz = 0;
@@ -543,7 +523,7 @@ let create ?(lu_kernel = Lu.Auto) p =
 let create_from prev p' =
   if p'.Problem.ncols <> prev.n || p'.Problem.nrows < prev.m then
     invalid_arg "Simplex.create_from: not a row extension";
-  let t = create ~lu_kernel:(Lu.kernel prev.lu) p' in
+  let t = create p' in
   (* carry the previous instance's *current* bounds for the shared
      variables (structural and old slacks occupy the same indices). At
      the root cut loop these equal [p']'s bounds; a branch-and-bound
@@ -575,7 +555,7 @@ let[@inline] reduced_cost t v =
   if t.d_live then t.d.(v)
   else begin
     t.ncols_priced <- t.ncols_priced + 1;
-    t.pcost.(v) -. dot_col t t.y.Svec.vals v
+    t.pcost.(v) -. dot_col t t.y v
   end
 
 (* Entering direction of nonbasic [v] at reduced cost [d]: 1 when it
@@ -676,7 +656,7 @@ let price t ~bland =
    reference weight refreshed exactly. A selected weight past the cap
    means the framework has drifted: reset to all ones. *)
 let devex_update t q ip =
-  let piv = Svec.get t.alpha ip in
+  let piv = t.alpha.(ip) in
   let wq = Float.max t.dw.(q) 1.0 in
   if wq > devex_weight_cap then begin
     Array.fill t.dw 0 t.nt 1.0;
@@ -726,10 +706,9 @@ let ratio_test t q sigma ~phase1 =
     else if d > 0.0 then (u, -2)
     else (l, -1)
   in
-  (* both Harris passes sweep only alpha's nonzero pattern: rows with
-     alpha.(i) = 0 never block *)
+  (* both Harris passes skip alpha's zeros: those rows never block *)
   let tmax_rel = ref infinity in
-  Svec.iter t.alpha (fun i a ->
+  iter_nonzero t.alpha (fun i a ->
       let d = -.sigma *. a in
       if Float.abs d > pivot_tol then begin
         let bound, _ = blocking_bound i d in
@@ -747,7 +726,7 @@ let ratio_test t q sigma ~phase1 =
     and leave_loc = ref (-1)
     and bstep = ref 0.0
     and bmag = ref 0.0 in
-    Svec.iter t.alpha (fun i a ->
+    iter_nonzero t.alpha (fun i a ->
         let d = -.sigma *. a in
         if Float.abs d > pivot_tol then begin
           let bound, loc = blocking_bound i d in
@@ -769,7 +748,7 @@ let apply_step t q sigma step =
   (* move entering by sigma*step, basics by -sigma*alpha*step *)
   if step <> 0.0 then begin
     t.xval.(q) <- t.xval.(q) +. (sigma *. step);
-    Svec.iter t.alpha (fun i a ->
+    iter_nonzero t.alpha (fun i a ->
         if Float.abs a > zero_tol then
           t.xval.(t.basis.(i)) <- t.xval.(t.basis.(i)) -. (sigma *. a *. step))
   end
@@ -778,7 +757,7 @@ let apply_step t q sigma step =
    schedule, when the eta file outgrows the factors, or on a bad pivot. *)
 let update_lu t ip =
   let h0 = tick t in
-  match Lu.update_sv t.lu ~pos:ip ~alpha:t.alpha with
+  match Lu.update t.lu ~pos:ip ~alpha:t.alpha with
   | () ->
       tock t ph_lu_update h0;
       if Lu.eta_count t.lu > t.max_eta then t.max_eta <- Lu.eta_count t.lu;
@@ -794,7 +773,7 @@ let do_pivot t q sigma ip step leave_loc =
   let h0 = if Mm_obs.Trace.active t.tr then Mm_obs.Trace.now_ns () else 0L in
   pivot_row t ip;
   devex_update t q ip;
-  if t.d_live then update_d t q ip (Svec.get t.alpha ip);
+  if t.d_live then update_d t q ip (t.alpha.(ip));
   apply_step t q sigma step;
   let leaver = t.basis.(ip) in
   t.basis.(ip) <- q;
@@ -857,7 +836,7 @@ let phase1_inner t limit out_of_time =
               do_flip t q sigma gap;
               loop ()
           | Block (ip, step, lloc) ->
-              if Float.abs (Svec.get t.alpha ip) < pivot_tol then begin
+              if Float.abs (t.alpha.(ip)) < pivot_tol then begin
                 refactor t;
                 loop ()
               end
@@ -917,7 +896,7 @@ let phase2 t limit out_of_time =
               do_flip t q sigma gap;
               loop ()
           | Block (ip, step, lloc) ->
-              if Float.abs (Svec.get t.alpha ip) < pivot_tol then begin
+              if Float.abs (t.alpha.(ip)) < pivot_tol then begin
                 refactor t;
                 loop ()
               end
@@ -988,13 +967,12 @@ let dual_phase t limit out_of_time =
         if !leave < 0 then Optimal
         else begin
           let ip = !leave in
-          (* rho := row ip of the basis inverse — the single-nonzero
-             right-hand side is the ideal hypersparse case — and the
-             pivot row from it *)
+          (* rho := row ip of the basis inverse, and the pivot row
+             from it *)
           pivot_row t ip;
           let wip =
             let exact = ref 0.0 in
-            Svec.iter t.rho (fun _ r -> exact := !exact +. (r *. r));
+            iter_nonzero t.rho (fun _ r -> exact := !exact +. (r *. r));
             if !exact > devex_drift_factor *. t.drw.(ip) then begin
               (* the reference framework no longer tracks the true
                  row norms: reset it *)
@@ -1039,13 +1017,13 @@ let dual_phase t limit out_of_time =
           else begin
             let q = !best in
             ftran t q;
-            if Float.abs (Svec.get t.alpha ip) < pivot_tol then
+            if Float.abs (t.alpha.(ip)) < pivot_tol then
               raise Numerical_trouble;
             (* dual Devex row-weight update from the entering column's
                ftran, over alpha's nonzeros only *)
-            let piv = Svec.get t.alpha ip in
+            let piv = t.alpha.(ip) in
             let inv2 = 1.0 /. (piv *. piv) in
-            Svec.iter t.alpha (fun i a ->
+            iter_nonzero t.alpha (fun i a ->
                 if i <> ip && Float.abs a > zero_tol then begin
                   let w = a *. a *. inv2 *. wip in
                   if w > t.drw.(i) then t.drw.(i) <- w
@@ -1147,11 +1125,11 @@ let primal t = Array.sub t.xval 0 t.n
 
 let reduced_costs t =
   compute_duals t t.cost;
-  Array.init t.n (fun j -> t.cost.(j) -. dot_col t t.y.Svec.vals j)
+  Array.init t.n (fun j -> t.cost.(j) -. dot_col t t.y j)
 
 let duals t =
   compute_duals t t.cost;
-  Array.copy t.y.Svec.vals
+  Array.copy t.y
 
 let iterations t = t.niter
 
@@ -1165,8 +1143,8 @@ let stats t =
     max_eta = t.max_eta;
     lu_fill = t.max_fill;
     basis_nnz = t.max_bnnz;
-    sparse_solves = t.acc_sparse + Lu.sparse_solves t.lu;
-    dense_fallbacks = t.acc_dense + Lu.dense_fallbacks t.lu;
+    sparse_solves = 0;
+    dense_fallbacks = t.nsolves;
     cols_priced = t.ncols_priced;
     price_s = 1e-9 *. float_of_int t.phase_ns.(ph_price);
     duals_s = 1e-9 *. float_of_int t.phase_ns.(ph_duals);

@@ -3,8 +3,8 @@
 
     The basis is kept as a sparse LU factorization (Markowitz pivoting,
     {!Lu}) with product-form eta updates between refactorizations;
-    pricing and ratio tests go through sparse ftran/btran rather than an
-    explicit inverse. Phase I is composite (artificial-free). Variable
+    pricing and ratio tests go through its ftran/btran solves rather
+    than an explicit inverse. Phase I is composite (artificial-free). Variable
     bounds are owned by the solver state and may be tightened between
     solves, which is how {!Branch_bound} warm-starts node relaxations
     from a parent basis snapshot.
@@ -59,8 +59,8 @@ type stats = {
   max_eta : int;  (** longest eta file reached between refactorizations *)
   lu_fill : int;  (** worst fill-in of any factorization *)
   basis_nnz : int;  (** largest basis nonzero count factored *)
-  sparse_solves : int;  (** ftran/btran solves on the hypersparse path *)
-  dense_fallbacks : int;  (** solves that swept densely (forced or fallback) *)
+  sparse_solves : int;  (** always 0: the LU has no hypersparse path *)
+  dense_fallbacks : int;  (** LU ftran/btran solves, every one a dense sweep *)
   cols_priced : int;
       (** columns priced by a dot product: phase-1 pricing and the
           exact refreshes of the maintained reduced costs *)
@@ -90,13 +90,8 @@ val merge_stats : stats -> stats -> stats
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line human-readable rendering. *)
 
-val create : ?lu_kernel:Lu.kernel -> Problem.t -> t
-(** Builds solver state with the slack basis. [lu_kernel] (default
-    {!Lu.Auto}) selects the
-    triangular-solve kernel — {!Lu.Sparse} forces the hypersparse
-    path on every sufficiently sparse operand and {!Lu.Dense} the
-    plain dense sweeps, for A/B benchmarking and differential
-    testing. All kernels pivot identically. *)
+val create : Problem.t -> t
+(** Builds solver state with the slack basis. *)
 
 val create_from : t -> Problem.t -> t
 (** [create_from prev p'] builds solver state for [p'], which must be

@@ -366,8 +366,7 @@ let solve ?(options = default_options) ?warm p =
           in
           let q', cs =
             Mm_obs.Trace.span snk "cuts" (fun () ->
-                Cut_pool.root_loop ?basis ?deadline
-                  ~lu_kernel:bb.Branch_bound.lu_kernel ~snk pool)
+                Cut_pool.root_loop ?basis ?deadline ~snk pool)
           in
           (match (warm, cs.Cut_pool.root_basis) with
           | Some w, Some b ->
@@ -385,8 +384,7 @@ let solve ?(options = default_options) ?warm p =
       let heur =
         if options.heuristics && Problem.num_integer q > 0 then
           Mm_obs.Trace.span snk "heuristic" (fun () ->
-              Heuristics.run ?deadline ~lu_kernel:bb.Branch_bound.lu_kernel
-                ~snk q)
+              Heuristics.run ?deadline ~snk q)
         else
           {
             Heuristics.incumbent = None;

@@ -18,9 +18,8 @@ type options = {
       (** GUB diving/rounding incumbent before the tree, default true *)
   bb : Branch_bound.options;
       (** limits, node-cut gating and the execution settings of the
-          whole solve: [parallelism] (tree worker domains), [lu_kernel]
-          (every simplex workspace, root cut loop and heuristic
-          included) and [trace] (the facade records its
+          whole solve: [parallelism] (tree worker domains) and
+          [trace] (the facade records its
           presolve/cuts/heuristic/bb/solve phase spans and cut counters
           on the trace's root sink) *)
 }

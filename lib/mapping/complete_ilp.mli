@@ -19,10 +19,12 @@
     their optimum — the invariant the whole global/detailed split rests
     on (tested in the suite).
 
-    What makes this model slow is exactly what the paper describes: the
-    X/Y variable counts scale with instances × ports × configurations,
-    and instance interchangeability floods branch-and-bound with
-    symmetric subtrees. *)
+    What makes this model slow is what the paper describes: the X/Y
+    variable counts scale with instances × ports × configurations, so
+    every node LP is far larger than the global model's. Bank instances
+    are interchangeable, but that symmetry does not show up as
+    symmetric subtrees here: on the largest Table-3 point the tree
+    branches only on [Z]. *)
 
 type build = {
   model : Mm_lp.Model.t;

@@ -174,14 +174,14 @@ let lp_core_summary (r : Mm_lp.Solver.result) =
     Printf.sprintf
       "LP core: %d nodes, %d pivots (%d phase-1, %d flips), %d \
        refactorizations (%d devex resets), eta<=%d, fill %d, basis nnz %d | \
-       solves %d sparse / %d dense-fallback | LP time %.3fs (worst node \
+       %d LU solves | LP time %.3fs (worst node \
        %.3fs)"
       mip.Mm_lp.Branch_bound.nodes lp.Mm_lp.Simplex.pivots
       lp.Mm_lp.Simplex.phase1_pivots lp.Mm_lp.Simplex.flips
       lp.Mm_lp.Simplex.refactorizations lp.Mm_lp.Simplex.devex_resets
       lp.Mm_lp.Simplex.max_eta lp.Mm_lp.Simplex.lu_fill
-      lp.Mm_lp.Simplex.basis_nnz lp.Mm_lp.Simplex.sparse_solves
-      lp.Mm_lp.Simplex.dense_fallbacks s.Mm_lp.Solver.lp_time
+      lp.Mm_lp.Simplex.basis_nnz lp.Mm_lp.Simplex.dense_fallbacks
+      s.Mm_lp.Solver.lp_time
       mip.Mm_lp.Branch_bound.max_node_lp_time
   in
   let pricing_part =

@@ -149,44 +149,53 @@ let test_mini_campaign_clean () =
     (List.map Differential.failure_to_string o.Campaign.failures);
   Alcotest.(check bool) "solves counted" true (o.Campaign.solves >= 30)
 
-let test_matrix_spans_lu_kernels () =
-  (* the forced-kernel arms are the differential guard on the
-     hypersparse code: fuzz instances sit below the Auto floor, so the
-     forced-Sparse arms are what exercises the hypersparse path, and
-     the forced-Dense arms (serial and warm) pin the baseline *)
-  let dense =
-    List.filter (fun (a : Arm.t) -> a.Arm.lu_kernel = Mm_lp.Lu.Dense) Arm.matrix
-  in
-  let sparse =
-    List.filter
-      (fun (a : Arm.t) -> a.Arm.lu_kernel = Mm_lp.Lu.Sparse)
-      Arm.matrix
-  in
-  Alcotest.(check bool) "at least 2 dense-kernel arms" true
-    (List.length dense >= 2);
-  Alcotest.(check bool) "at least 2 sparse-kernel arms" true
-    (List.length sparse >= 2);
-  Alcotest.(check bool) "a parallel sparse arm" true
-    (List.exists (fun (a : Arm.t) -> a.Arm.parallelism > 1) sparse);
-  Alcotest.(check bool) "a warm dense arm" true
-    (List.exists (fun (a : Arm.t) -> a.Arm.warm) dense);
-  Alcotest.(check bool) "reference uses the production default" true
-    (Arm.reference.Arm.lu_kernel = Mm_lp.Lu.Auto);
+let test_matrix_shape () =
+  (* every axis the differential check relies on must stay covered:
+     the tree's domain counts, each cut configuration, and warm starts
+     both serial and parallel *)
+  let arms = Arm.reference :: Arm.matrix in
+  let has f = List.exists f arms in
+  List.iter
+    (fun j ->
+      Alcotest.(check bool)
+        (Printf.sprintf "an arm at parallelism %d" j)
+        true
+        (has (fun (a : Arm.t) -> a.Arm.parallelism = j)))
+    [ 1; 2; 4 ];
+  List.iter
+    (fun (mode, what) ->
+      Alcotest.(check bool) ("an arm with " ^ what) true
+        (has (fun (a : Arm.t) -> a.Arm.cuts = mode)))
+    [
+      (Arm.Full, "the full cut pool");
+      (Off, "cuts off");
+      (Baseline, "cover-only cuts");
+    ];
+  Alcotest.(check bool) "a serial warm arm" true
+    (has (fun (a : Arm.t) -> a.Arm.warm && a.Arm.parallelism = 1));
+  Alcotest.(check bool) "a parallel warm arm" true
+    (has (fun (a : Arm.t) -> a.Arm.warm && a.Arm.parallelism > 1));
+  Alcotest.(check bool) "reference is the serial cold full-pool default" true
+    (Arm.reference.Arm.parallelism = 1
+    && Arm.reference.Arm.cuts = Full
+    && not Arm.reference.Arm.warm);
+  Alcotest.(check bool) "arm names are unique" true
+    (let names = List.map (fun (a : Arm.t) -> a.Arm.name) arms in
+     List.length (List.sort_uniq compare names) = List.length names);
   List.iter
     (fun (a : Arm.t) ->
       let o = Arm.solver_options a in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s options carry its kernel" a.Arm.name)
-        true
-        (o.Mm_lp.Solver.bb.Mm_lp.Branch_bound.lu_kernel = a.Arm.lu_kernel))
-    (Arm.reference :: Arm.matrix)
+      Alcotest.(check int)
+        (Printf.sprintf "%s options carry its parallelism" a.Arm.name)
+        a.Arm.parallelism
+        o.Mm_lp.Solver.bb.Mm_lp.Branch_bound.parallelism)
+    arms
 
-(* reference vs the serial forced-kernel arms on random small MIPs:
-   forced-Sparse (hypersparse even below the Auto floor) and
-   forced-Dense must agree with the reference case for case, not just
-   on the committed corpus *)
-let prop_dense_lu_arm_agrees =
-  qtest ~count:40 "forced-kernel arms agree with reference"
+(* reference vs the serial arms (cover-only, cuts off, warm) on random
+   small MIPs: they must agree with the reference case for case, not
+   just on the committed corpus *)
+let prop_serial_arms_agree =
+  qtest ~count:40 "serial arms agree with reference"
     (QCheck.make
        ~print:(fun c -> Case.describe c)
        (QCheck.Gen.map
@@ -200,13 +209,10 @@ let prop_dense_lu_arm_agrees =
               })
           (QCheck.Gen.int_bound 1_000_000)))
     (fun c ->
-      let forced_arms =
-        List.filter
-          (fun (a : Arm.t) ->
-            a.Arm.lu_kernel <> Mm_lp.Lu.Auto && a.Arm.parallelism = 1)
-          Arm.matrix
+      let serial_arms =
+        List.filter (fun (a : Arm.t) -> a.Arm.parallelism = 1) Arm.matrix
       in
-      match Differential.run_case ~time_limit:30.0 ~arms:forced_arms c with
+      match Differential.run_case ~time_limit:30.0 ~arms:serial_arms c with
       | Ok _ -> true
       | Error f -> QCheck.Test.fail_report (Differential.failure_to_string f))
 
@@ -309,9 +315,8 @@ let () =
           Alcotest.test_case "mini campaign clean" `Slow test_mini_campaign_clean;
           Alcotest.test_case "arm rotation covers matrix" `Quick
             test_arm_rotation_covers_matrix;
-          Alcotest.test_case "matrix spans LU kernels" `Quick
-            test_matrix_spans_lu_kernels;
-          prop_dense_lu_arm_agrees;
+          Alcotest.test_case "matrix shape" `Quick test_matrix_shape;
+          prop_serial_arms_agree;
         ] );
       ( "replay",
         [

@@ -471,22 +471,23 @@ let prop_dual_matches_primal =
           | _ -> false)
       | _ -> true)
 
-(* --- LU kernel agreement --------------------------------------------------- *)
+(* --- LU residuals ----------------------------------------------------------- *)
 
-(* The hypersparse solves must reproduce the dense sweeps on arbitrary
-   bases — including post-update eta files and bases drawn with
-   near-singular pivots — to well below the simplex tolerances. Both
-   factorizations see the same columns and the same update sequence;
-   entering columns are built as B*w with w.(pos) = 1, so alpha(pos)
-   stays ~1 and the update never stalls on the pivot tolerance. *)
-let lu_kernel_gen =
+(* Every solve must satisfy its own system on arbitrary bases, including
+   post-update eta files and bases drawn with near-singular pivots:
+   ||B x - b|| for ftran, ||B^T y - c|| for btran and btran_unit, each
+   checked before and after every update as a normwise backward error
+   within 1e-9. Entering columns are built as B*w with w.(pos) = 1, so
+   alpha(pos) stays ~1 and the update never stalls on the pivot
+   tolerance. *)
+let lu_basis_gen =
   QCheck.make
     ~print:(fun (m, seed) -> Printf.sprintf "m=%d seed=%d" m seed)
     QCheck.Gen.(pair (int_range 2 28) (int_bound 1_000_000))
 
-let prop_lu_kernels_agree =
-  qtest ~count:300 "hypersparse and dense LU solves agree to 1e-9"
-    lu_kernel_gen (fun (m, seed) ->
+let prop_lu_residuals =
+  qtest ~count:300 "LU solves satisfy B x = b and B^T y = c to 1e-9"
+    lu_basis_gen (fun (m, seed) ->
       let st = Random.State.make [| 0xfac; seed; m |] in
       let frand lo hi = lo +. Random.State.float st (hi -. lo) in
       (* random sparse basis: permuted diagonal (one in eight entries
@@ -513,43 +514,49 @@ let prop_lu_kernels_agree =
             !entries)
       in
       let coliter k f = List.iter (fun (r, v) -> f r v) cols.(k) in
-      match
-        ( Lu.factor ~kernel:Lu.Sparse ~m coliter,
-          Lu.factor ~kernel:Lu.Dense ~m coliter )
-      with
+      match Lu.factor ~m coliter with
       | exception Lu.Singular -> true (* a legitimately singular draw *)
-      | ls, ld ->
+      | lu ->
           let ok = ref true in
-          let agree a b =
-            let scale =
-              Array.fold_left
-                (fun acc v -> Float.max acc (Float.abs v))
-                1.0 b
-            in
-            Array.iteri
-              (fun i v ->
-                if Float.abs (v -. b.(i)) > 1e-9 *. scale then ok := false)
-              a
+          (* normwise backward error of one solve: ||resid||_inf within
+             1e-9 of ||A||_inf ||x||_inf + ||rhs||_inf, where [rows]
+             lists each equation's (coefficient, unknown index) pairs *)
+          let inf v =
+            Array.fold_left (fun acc e -> Float.max acc (Float.abs e)) 0.0 v
           in
-          let xs = Array.make m 0.0 and xd = Array.make m 0.0 in
-          let sv_src = Svec.create m and sv_dst = Svec.create m in
-          let xsv = Array.make m 0.0 in
+          let check rows rhs x =
+            let resid = ref 0.0 and anorm = ref 0.0 in
+            Array.iteri
+              (fun i terms ->
+                let acc = ref (-.rhs.(i)) and rs = ref 0.0 in
+                List.iter
+                  (fun (a, j) ->
+                    acc := !acc +. (a *. x.(j));
+                    rs := !rs +. Float.abs a)
+                  terms;
+                resid := Float.max !resid (Float.abs !acc);
+                anorm := Float.max !anorm !rs)
+              rows;
+            if !resid > 1e-9 *. ((!anorm *. inf x) +. inf rhs) then ok := false
+          in
+          (* B's rows (for ftran) and columns (for btran) as equations *)
+          let b_rows () =
+            let rows = Array.make m [] in
+            Array.iteri
+              (fun k col ->
+                List.iter (fun (r, v) -> rows.(r) <- (v, k) :: rows.(r)) col)
+              cols;
+            rows
+          in
+          let b_cols () = Array.map (List.map (fun (r, v) -> (v, r))) cols in
+          let check_ftran b x = check (b_rows ()) b x in
+          let check_btran c y = check (b_cols ()) c y in
+          let x = Array.make m 0.0 in
           let check_rhs rhs =
-            Lu.ftran ls ~src:rhs ~dst:xs;
-            Lu.ftran ld ~src:rhs ~dst:xd;
-            agree xs xd;
-            (* the svec entry point must match its own dense adapter *)
-            Svec.of_dense sv_src rhs;
-            Lu.ftran_sv ls ~src:sv_src ~dst:sv_dst;
-            Svec.to_dense sv_dst xsv;
-            agree xsv xd;
-            Lu.btran ls ~src:rhs ~dst:xs;
-            Lu.btran ld ~src:rhs ~dst:xd;
-            agree xs xd;
-            Svec.of_dense sv_src rhs;
-            Lu.btran_sv ls ~src:sv_src ~dst:sv_dst;
-            Svec.to_dense sv_dst xsv;
-            agree xsv xd
+            Lu.ftran lu ~src:rhs ~dst:x;
+            check_ftran rhs x;
+            Lu.btran lu ~src:rhs ~dst:x;
+            check_btran rhs x
           in
           let sparse_rhs () =
             let b = Array.make m 0.0 in
@@ -558,16 +565,18 @@ let prop_lu_kernels_agree =
             done;
             b
           in
+          let check_all () =
+            check_rhs (sparse_rhs ());
+            check_rhs (Array.init m (fun _ -> frand (-1.0) 1.0));
+            let pos = Random.State.int st m in
+            Lu.btran_unit lu ~pos ~dst:x;
+            check_btran (Array.init m (fun k -> if k = pos then 1.0 else 0.0)) x
+          in
           (try
              for _round = 1 to 1 + Random.State.int st 5 do
-               check_rhs (sparse_rhs ());
-               (* dense rhs exercises the fallback gate *)
-               check_rhs (Array.init m (fun _ -> frand (-1.0) 1.0));
-               let pos = Random.State.int st m in
-               Lu.btran_unit ls ~pos ~dst:xs;
-               Lu.btran_unit ld ~pos ~dst:xd;
-               agree xs xd;
+               check_all ();
                (* eta update: entering column B*w with w.(pos) = 1 *)
+               let pos = Random.State.int st m in
                let w = Array.make m 0.0 in
                for _ = 1 to Random.State.int st 3 do
                  w.(Random.State.int st m) <- frand (-0.25) 0.25
@@ -580,19 +589,17 @@ let prop_lu_kernels_agree =
                      (fun (r, v) -> a.(r) <- a.(r) +. (w.(k) *. v))
                      cols.(k)
                done;
-               Svec.of_dense sv_src a;
-               Lu.ftran_sv ls ~src:sv_src ~dst:sv_dst;
-               Lu.ftran ld ~src:a ~dst:xd;
-               Svec.to_dense sv_dst xsv;
-               agree xsv xd;
-               Lu.update_sv ls ~pos ~alpha:sv_dst;
-               Lu.update ld ~pos ~alpha:xd;
+               let alpha = Array.make m 0.0 in
+               Lu.ftran lu ~src:a ~dst:alpha;
+               check_ftran a alpha;
+               Lu.update lu ~pos ~alpha;
                let entering = ref [] in
                Array.iteri
                  (fun r v -> if v <> 0.0 then entering := (r, v) :: !entering)
                  a;
                cols.(pos) <- !entering
-             done
+             done;
+             check_all ()
            with Lu.Singular -> ());
           !ok)
 
@@ -1828,7 +1835,7 @@ let () =
           prop_optimal_primal_within_row_bounds;
           prop_refactorize_preserves_primal;
         ] );
-      ("lu", [ prop_lu_kernels_agree ]);
+      ("lu", [ prop_lu_residuals ]);
       ( "presolve",
         [
           Alcotest.test_case "fixing" `Quick test_presolve_fixing;

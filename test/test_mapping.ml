@@ -1065,6 +1065,43 @@ let test_trace_phase_sums () =
   Alcotest.(check bool) "phases sum to the solve span within 5%" true
     (Float.abs (parts -. solve) <= 0.05 *. solve)
 
+(* The LU density histograms record each solve result's true nonzero
+   share in permille. On point 1, the smallest Table-3 point, most
+   solve results are mostly zero, so a median at the full-density bucket
+   means the count went back to the vector length. *)
+let test_trace_density_median () =
+  let point = List.hd Mm_workload.Table3.points in
+  let board, design = Mm_workload.Gen.instance point.Mm_workload.Table3.spec in
+  let evs = traced_mapper_run board design in
+  List.iter
+    (fun name ->
+      (* log2 buckets by upper bound, in permille (the wire scales
+         every histogram to seconds) *)
+      let buckets =
+        List.concat_map
+          (fun (e : Mm_obs.Summary.event) ->
+            if e.Mm_obs.Summary.kind = "hist" && e.Mm_obs.Summary.name = name
+            then
+              List.map
+                (fun (ub, c) -> (Float.round (ub *. 1e9), c))
+                e.Mm_obs.Summary.buckets
+            else [])
+          evs
+        |> List.sort compare
+      in
+      let total = List.fold_left (fun acc (_, c) -> acc + c) 0 buckets in
+      Alcotest.(check bool) (name ^ " recorded") true (total > 0);
+      let rec median acc = function
+        | [] -> infinity
+        | (ub, c) :: rest ->
+            if 2 * (acc + c) >= total then ub else median (acc + c) rest
+      in
+      Alcotest.(check bool)
+        (name ^ " median below 1000 permille")
+        true
+        (median 0 buckets < 1000.0))
+    [ "ftran_density_permille"; "btran_density_permille" ]
+
 let () =
   Alcotest.run "mm_mapping"
     [
@@ -1154,6 +1191,8 @@ let () =
             test_trace_summary_all_table3_points;
           Alcotest.test_case "phase sums on point 9" `Quick
             test_trace_phase_sums;
+          Alcotest.test_case "density median on point 1" `Quick
+            test_trace_density_median;
         ] );
       ( "mapper",
         [
