@@ -128,6 +128,8 @@ type result = {
   par : par_stats;
   incumbent_source : incumbent_source;
   pseudocosts : pseudocosts;
+  branches : int;
+  objective_branches : int;
 }
 
 let gap r =
@@ -185,10 +187,13 @@ type workspace = {
   mutable retired : Simplex.stats;
       (* stats of simplex instances replaced by cut-row extensions *)
   mutable retired_pivots : int;
+  mutable branches : int;
+  mutable objective_branches : int;
+      (* branches on a column with a nonzero objective coefficient *)
 }
 
-let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
-    =
+let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
+    (p : Problem.t) =
   let t0 = Unix.gettimeofday () in
   let deadline = Option.map (fun tl -> t0 +. tl) options.time_limit in
   let n = p.Problem.ncols in
@@ -273,7 +278,14 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
     if Problem.max_violation p r <= 1e-7 then
       try_incumbent snk ~src:Rounding r (internal_obj r)
   in
-  let select_branch_var pc x =
+  (* Objective columns first: zero-cost columns are scored only when
+     no objective column is fractional. The mapping LPs have many
+     optimal vertices, and with zero-cost columns in the running the
+     tree size hinged on which one the LP returned. *)
+  let obj_vars, zero_cost_vars =
+    List.partition (fun j -> p.Problem.obj.(j) <> 0.0) int_vars
+  in
+  let most_promising pc x vars =
     (* pseudocost score with most-fractional fallback *)
     let best = ref (-1) and best_score = ref neg_infinity in
     List.iter
@@ -292,8 +304,13 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
             best_score := score
           end
         end)
-      int_vars;
+      vars;
     !best
+  in
+  let select_branch_var pc x =
+    match most_promising pc x obj_vars with
+    | -1 -> most_promising pc x zero_cost_vars
+    | j -> j
   in
   (* Bring this worker's LP up to the pool's current activation count:
      extend the problem with the missing cut rows and rebuild the
@@ -498,6 +515,9 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
                     ncuts = ws.ncuts;
                   }
                 in
+                ws.branches <- ws.branches + 1;
+                if p.Problem.obj.(j) <> 0.0 then
+                  ws.objective_branches <- ws.objective_branches + 1;
                 let frac = f -. Float.floor f in
                 let first, second =
                   if frac < 0.5 then (down, up) else (up, down)
@@ -597,11 +617,15 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
       max_node_lp_time = 0.0;
       retired = Simplex.empty_stats;
       retired_pivots = 0;
+      branches = 0;
+      objective_branches = 0;
     }
   in
   let workspaces = Array.init nworkers make_workspace in
   (* seed the root as worker 0's plunge node, marked in flight before
-     any helper domain can observe an all-idle pool and quit early *)
+     any helper domain can observe an all-idle pool and quit early; it
+     restores the caller's root optimum (the diving heuristic's first
+     solve on [p]), so the root LP re-solves in zero pivots *)
   workspaces.(0).current <-
     Some
       {
@@ -609,7 +633,7 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
         depth = 0;
         dir = Root;
         changes = [];
-        basis = None;
+        basis = root_basis;
         ncuts = 0;
       };
   Node_pool.working pool ~worker:0 neg_infinity;
@@ -638,6 +662,11 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
     Array.iteri
       (fun i ws ->
         Simplex.flush_trace ws.sx;
+        if ws.branches > 0 then begin
+          Mm_obs.Trace.count sinks.(i) "branches" ws.branches;
+          Mm_obs.Trace.count sinks.(i) "objective_branches"
+            ws.objective_branches
+        end;
         Mm_obs.Trace.point sinks.(i) "idle_seconds" idle.(i))
       workspaces
   end;
@@ -694,6 +723,9 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
             workspaces;
       };
     incumbent_source = inc.src;
+    branches = Array.fold_left (fun a ws -> a + ws.branches) 0 workspaces;
+    objective_branches =
+      Array.fold_left (fun a ws -> a + ws.objective_branches) 0 workspaces;
     pseudocosts =
       (* every worker trained private statistics; the merged sums are
          what a warm-start cache should carry into the next solve of

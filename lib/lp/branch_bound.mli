@@ -1,11 +1,13 @@
 (** Branch-and-bound mixed-integer solver on top of {!Simplex}.
 
     Search: best-bound node queue with depth-first plunging, pseudocost
-    branching (initialized most-fractional), a nearest-integer rounding
-    heuristic at every node, and warm-started node relaxations: every
-    node carries an explicit {!Simplex.basis} snapshot of its parent's
-    optimal basis (shared by both children), restored before the node
-    LP is solved.
+    branching (initialized most-fractional) over the fractional columns
+    with a nonzero objective coefficient while any exists, a
+    nearest-integer rounding heuristic at every node, and warm-started
+    node relaxations: every node carries an explicit {!Simplex.basis}
+    snapshot of its parent's optimal basis (shared by both children),
+    restored before the node LP is solved; the root restores the
+    caller's root optimum ([?root_basis]).
 
     When a {!Cut_pool} is supplied ([?cuts]), shallow nodes can
     re-separate bound-free cut families on their fractional optimum:
@@ -142,6 +144,10 @@ type result = {
   pseudocosts : pseudocosts;
       (** branching statistics trained by this solve, merged across
           domains — feed back via [?warm_pc] on a repeat solve *)
+  branches : int;  (** nodes that branched, summed across domains *)
+  objective_branches : int;
+      (** of [branches], those on a column with a nonzero objective
+          coefficient *)
 }
 
 val gap : result -> float option
@@ -152,6 +158,7 @@ val solve :
   ?cuts:Cut_pool.t ->
   ?initial:float array * float ->
   ?warm_pc:pseudocosts ->
+  ?root_basis:Simplex.basis ->
   Problem.t ->
   result
 (** [solve ?options ?cuts ?initial p] explores [p]'s tree. [?cuts] is
@@ -165,4 +172,7 @@ val solve :
     problem (silently ignored when the column count differs); seeded
     branching changes the node order, so it is opt-in — the
     [parallelism = 1] determinism contract only covers unseeded
-    runs. *)
+    runs. [?root_basis] is restored at the root node before its LP is
+    solved — {!Heuristics.run}'s root optimum on [p], which makes the
+    root re-solve take zero pivots; it must be a snapshot taken on [p]
+    or on a row prefix of it. *)

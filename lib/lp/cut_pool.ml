@@ -148,6 +148,7 @@ type root_stats = {
   lp : Simplex.stats;
   lp_time : float;
   root_basis : Simplex.basis option;
+  last_basis : Simplex.basis option;
 }
 
 (* Activity-based aging: after each root LP solve, a cut row sitting
@@ -207,13 +208,18 @@ let root_loop ?basis ?deadline ~snk t =
      basis"): it is valid on [t.base] regardless of which cuts this or
      a future run accepts *)
   let root_basis = ref None in
+  (* the last optimum of the loop, on a row prefix of the returned
+     problem: the warm start of the diving heuristic's first solve *)
+  let last_basis = ref None in
   let rec loop p sx round =
     let t0 = Unix.gettimeofday () in
     let r = Simplex.solve ?deadline ~prefer_dual:(round > 0) sx in
     lp_time := !lp_time +. (Unix.gettimeofday () -. t0);
     match r with
     | Simplex.Optimal ->
-        if round = 0 then root_basis := Some (Simplex.basis_snapshot sx);
+        let snap = Simplex.basis_snapshot sx in
+        if round = 0 then root_basis := Some snap;
+        last_basis := Some snap;
         let x = Simplex.primal sx in
         age_update t x;
         if Problem.integer_violation p x <= 1e-6 then begin
@@ -248,6 +254,7 @@ let root_loop ?basis ?deadline ~snk t =
           end
         end
     | _ ->
+        last_basis := None;
         finish sx;
         p
   in
@@ -264,7 +271,10 @@ let root_loop ?basis ?deadline ~snk t =
       loop t.base sx0 0
     end
   in
-  let final = prune t final in
+  let pruned = prune t final in
+  (* dropped rows break the row-prefix relation with the snapshot *)
+  if pruned != final then last_basis := None;
+  let final = pruned in
   t.root <- final;
   if (!lp_stats).Simplex.pivots > 0 then
     Mm_obs.Trace.count snk "cut_pivots" (!lp_stats).Simplex.pivots;
@@ -280,6 +290,7 @@ let root_loop ?basis ?deadline ~snk t =
       lp = !lp_stats;
       lp_time = !lp_time;
       root_basis = !root_basis;
+      last_basis = !last_basis;
     } )
 
 let root_problem t = t.root

@@ -40,6 +40,13 @@ type root_stats = {
       (** the pre-cut root optimum's basis — valid on the base problem
           independently of accepted cuts, so a later solve of the same
           base can restore it (the warm-start cache's last-good basis) *)
+  last_basis : Simplex.basis option;
+      (** the basis of the last LP the loop solved to optimality, taken
+          on a row prefix of the returned problem (the last round's
+          cuts come back basic on their slacks under
+          {!Simplex.restore_basis}); [None] when that solve was not
+          optimal or aging dropped rows. {!Heuristics.run} starts from
+          it. *)
 }
 
 val root_loop :

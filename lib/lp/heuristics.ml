@@ -16,6 +16,8 @@ type result = {
   dives : int;
   lp : Simplex.stats;
   lp_time : float;
+  root_basis : Simplex.basis option;
+      (* the first optimum, before any dive fixing: the tree's root *)
 }
 
 let internal_obj (p : Problem.t) x =
@@ -94,13 +96,22 @@ let round_point p ~gubs ~ints x =
     if Problem.max_violation p r <= 1e-7 then Some r else None
   end
 
-let run ?deadline ~snk (p : Problem.t) =
-  let none = { incumbent = None; dives = 0; lp = Simplex.empty_stats; lp_time = 0.0 } in
+let none =
+  {
+    incumbent = None;
+    dives = 0;
+    lp = Simplex.empty_stats;
+    lp_time = 0.0;
+    root_basis = None;
+  }
+
+let run ?basis ?deadline ~snk (p : Problem.t) =
   if Problem.num_integer p = 0 then none
   else begin
     let gubs = gub_rows p in
     let ints = int_vars p in
     let sx = Simplex.create p in
+    Option.iter (Simplex.restore_basis sx) basis;
     Simplex.set_trace sx snk;
     let lp_time = ref 0.0 in
     let timed_solve ~prefer_dual () =
@@ -122,8 +133,12 @@ let run ?deadline ~snk (p : Problem.t) =
     let dives = ref 0 in
     let max_dives = List.length gubs + List.length ints + 4 in
     let unfixed = ref gubs in
-    (match timed_solve ~prefer_dual:false () with
+    let root_basis = ref None in
+    (* a cut-loop optimum is dual feasible on the cut-extended rows, so
+       the dual re-optimizes it; a cold start runs the primal *)
+    (match timed_solve ~prefer_dual:(basis <> None) () with
     | Simplex.Optimal ->
+        root_basis := Some (Simplex.basis_snapshot sx);
         let continue_ = ref true in
         while !continue_ do
           let x = Simplex.primal sx in
@@ -196,5 +211,6 @@ let run ?deadline ~snk (p : Problem.t) =
       dives = !dives;
       lp = Simplex.stats sx;
       lp_time = !lp_time;
+      root_basis = !root_basis;
     }
   end

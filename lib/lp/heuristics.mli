@@ -18,7 +18,15 @@ type result = {
   dives : int;  (** LP re-solves performed after the root solve *)
   lp : Simplex.stats;
   lp_time : float;
+  root_basis : Simplex.basis option;
+      (** the root LP optimum's basis, snapshot before any dive fixing
+          ([None] when that solve was not optimal): {!Branch_bound.solve}
+          restores it at the root node, which then re-solves in zero
+          pivots *)
 }
+
+val none : result
+(** The result of a run that did nothing: no incumbent, no LP work. *)
 
 val gub_rows : Problem.t -> int list
 (** Rows reading [sum_j x_j = 1] over two or more binaries with unit
@@ -31,10 +39,15 @@ val round_point :
     in-bounds integer. [None] when the result is infeasible. *)
 
 val run :
+  ?basis:Simplex.basis ->
   ?deadline:float ->
   snk:Mm_obs.Trace.sink ->
   Problem.t ->
   result
 (** Runs the diving heuristic on (a presolved, possibly cut-extended)
     [p]. Never raises on infeasible dives — they just end the dive with
-    the best rounding found so far. *)
+    the best rounding found so far.
+
+    [?basis] is {!Cut_pool.root_stats.last_basis}, taken on [p] or on a
+    row prefix of it: the root solve restores it and re-optimizes with
+    the dual method instead of starting from the slack basis. *)

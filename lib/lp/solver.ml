@@ -245,6 +245,7 @@ let no_cut_stats =
     lp = Simplex.empty_stats;
     lp_time = 0.0;
     root_basis = None;
+    last_basis = None;
   }
 
 let infeasible_result p t0 =
@@ -262,6 +263,8 @@ let infeasible_result p t0 =
     par = Branch_bound.serial_par_stats;
     incumbent_source = Branch_bound.No_incumbent;
     pseudocosts = Branch_bound.empty_pseudocosts;
+    branches = 0;
+    objective_branches = 0;
   }
 
 let unbounded_result p t0 =
@@ -279,6 +282,8 @@ let unbounded_result p t0 =
     par = Branch_bound.serial_par_stats;
     incumbent_source = Branch_bound.No_incumbent;
     pseudocosts = Branch_bound.empty_pseudocosts;
+    branches = 0;
+    objective_branches = 0;
   }
 
 let empty_stats before =
@@ -384,14 +389,9 @@ let solve ?(options = default_options) ?warm p =
       let heur =
         if options.heuristics && Problem.num_integer q > 0 then
           Mm_obs.Trace.span snk "heuristic" (fun () ->
-              Heuristics.run ?deadline ~snk q)
-        else
-          {
-            Heuristics.incumbent = None;
-            dives = 0;
-            lp = Simplex.empty_stats;
-            lp_time = 0.0;
-          }
+              Heuristics.run ?basis:cut_stats.Cut_pool.last_basis ?deadline
+                ~snk q)
+        else Heuristics.none
       in
       Log.debug (fun m ->
           m "solving %a (%d cuts)" Problem.pp_stats q cut_stats.Cut_pool.added);
@@ -415,7 +415,8 @@ let solve ?(options = default_options) ?warm p =
       let r =
         Mm_obs.Trace.span snk "bb" (fun () ->
             Branch_bound.solve ~options:bb_options ?cuts:pool
-              ?initial:heur.Heuristics.incumbent ?warm_pc q)
+              ?initial:heur.Heuristics.incumbent ?warm_pc
+              ?root_basis:heur.Heuristics.root_basis q)
       in
       (match warm with
       | Some w ->

@@ -759,6 +759,34 @@ let test_bb_respects_node_limit () =
   let r = Branch_bound.solve ~options p in
   Alcotest.(check bool) "nodes within limit" true (r.Branch_bound.nodes <= 1)
 
+(* Objective columns are branched first: the zero-cost column [y]
+   sits at 1/2 in the root LP, more fractional than the objective
+   column [x] at 0.43, yet the root must branch on [x]. With a node
+   limit of 2 only the root branches and one child is solved, so the
+   child's pseudocost observation names the branching column. *)
+let test_bb_branches_objective_column_first () =
+  let m = Model.create () in
+  let x = Model.binary m ~obj:(-1.0) () in
+  let y = Model.binary m () in
+  Model.add_le m (Expr.var ~coeff:3.0 x) 1.3;
+  Model.add_ge m (Expr.var ~coeff:2.0 y) 1.0;
+  let p = Model.to_problem m in
+  let sx = Simplex.create p in
+  Alcotest.(check bool) "root LP optimal" true (Simplex.solve sx = Simplex.Optimal);
+  let v = Simplex.primal sx in
+  Alcotest.(check (float 1e-9)) "zero-cost column at 1/2" 0.5 v.(y);
+  Alcotest.(check (float 1e-9)) "objective column at 1.3/3" (1.3 /. 3.0) v.(x);
+  let r = Branch_bound.solve ~options:(Branch_bound.options ~node_limit:2 ()) p in
+  let _, up_cnt, _, dn_cnt =
+    Branch_bound.pseudocosts_export r.Branch_bound.pseudocosts
+  in
+  Alcotest.(check int) "two nodes" 2 r.Branch_bound.nodes;
+  Alcotest.(check int) "objective column observed" 1 (up_cnt.(x) + dn_cnt.(x));
+  Alcotest.(check int) "zero-cost column not observed" 0 (up_cnt.(y) + dn_cnt.(y));
+  Alcotest.(check int) "one branch" 1 r.Branch_bound.branches;
+  Alcotest.(check int) "on an objective column" 1
+    r.Branch_bound.objective_branches
+
 let test_bb_gap_reporting () =
   let m = Model.create () in
   let x = Model.binary m ~obj:1.0 () in
@@ -1850,6 +1878,8 @@ let () =
           prop_solver_facade_matches_brute_force;
           prop_bb_maximize;
           Alcotest.test_case "node limit" `Quick test_bb_respects_node_limit;
+          Alcotest.test_case "objective column branched first" `Quick
+            test_bb_branches_objective_column_first;
           Alcotest.test_case "gap" `Quick test_bb_gap_reporting;
           Alcotest.test_case "time limit" `Quick test_solver_time_limit_reported;
           Alcotest.test_case "options off" `Quick test_solver_without_presolve_or_cuts;

@@ -1102,6 +1102,49 @@ let test_trace_density_median () =
         (median 0 buckets < 1000.0))
     [ "ftran_density_permille"; "btran_density_permille" ]
 
+(* [trace-summary] splits histograms by name: durations go to the
+   latency table, [*_size] and [*_permille] magnitudes to their own
+   unitless table. A density read as microseconds is meaningless. *)
+let test_trace_density_renders_as_magnitude () =
+  let tr = Mm_obs.Trace.create () in
+  let snk = Mm_obs.Trace.root tr in
+  let emit name v =
+    let h = Mm_obs.Trace.hist_create () in
+    Mm_obs.Trace.hist_add h v;
+    Mm_obs.Trace.emit_hist snk name h
+  in
+  emit "pivot" 1500L;
+  emit "ftran_density_permille" 300L;
+  let evs =
+    match Mm_obs.Summary.of_lines (Mm_obs.Trace.dump_lines tr) with
+    | Ok evs -> evs
+    | Error e -> Alcotest.fail e
+  in
+  let lines = String.split_on_char '\n' (Mm_obs.Summary.render evs) in
+  let index pred =
+    let rec go i = function
+      | [] -> Alcotest.fail "line not rendered"
+      | l :: rest -> if pred l then (i, l) else go (i + 1) rest
+    in
+    go 0 lines
+  in
+  let has sub l =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length l && (String.sub l i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let latency, _ = index (has "Latency histograms") in
+  let magnitude, _ = index (has "Magnitude histograms") in
+  let pivot, _ = index (has "pivot") in
+  let density, row = index (has "ftran_density_permille") in
+  Alcotest.(check bool) "pivot in the latency table" true
+    (latency < pivot && pivot < magnitude);
+  Alcotest.(check bool) "density in the magnitude table" true
+    (magnitude < density);
+  Alcotest.(check bool) "density not in microseconds" false (has "us" row)
+
 let () =
   Alcotest.run "mm_mapping"
     [
@@ -1193,6 +1236,8 @@ let () =
             test_trace_phase_sums;
           Alcotest.test_case "density median on point 1" `Quick
             test_trace_density_median;
+          Alcotest.test_case "density histograms render as magnitudes" `Quick
+            test_trace_density_renders_as_magnitude;
         ] );
       ( "mapper",
         [

@@ -107,6 +107,31 @@ let test_table3_devex_objectives () =
         check Mm_mapping.Mapper.Complete_flat "complete" 1)
     (List.combine Table3.points table3_optima)
 
+(* One basis runs through the pipeline: the cut loop's optimum warm
+   starts the diving heuristic, whose root optimum the tree's root node
+   restores. On the single-node complete points (0, 1 and 3) the tree
+   therefore spends no pivot at all; before the hand-off it re-solved
+   the root from the slack basis (333, 658 and 2,191 pivots). *)
+let test_table3_complete_root_solved_once () =
+  List.iter
+    (fun i ->
+      let p = List.nth Table3.points i in
+      let board, design = Gen.instance p.Table3.spec in
+      match
+        Mm_mapping.Mapper.run ~method_:Mm_mapping.Mapper.Complete_flat board
+          design
+      with
+      | Ok o ->
+          let mip = o.Mm_mapping.Mapper.ilp_result.Mm_lp.Solver.mip in
+          Alcotest.(check int)
+            (Printf.sprintf "point %d nodes" i)
+            1 mip.Mm_lp.Branch_bound.nodes;
+          Alcotest.(check int)
+            (Printf.sprintf "point %d tree pivots" i)
+            0 mip.Mm_lp.Branch_bound.lp_stats.Mm_lp.Simplex.pivots
+      | Error e -> Alcotest.fail (Mm_mapping.Mapper.error_to_string e))
+    [ 0; 1; 3 ]
+
 let test_rejects_inconsistent_spec () =
   Alcotest.check_raises "configs not multiple of 5"
     (Invalid_argument "Gen.board_of_spec: configs must be a multiple of 5")
@@ -254,6 +279,8 @@ let () =
           Alcotest.test_case "smallest point solvable" `Quick test_smallest_point_solvable;
           Alcotest.test_case "devex objectives at j=1,2" `Quick
             test_table3_devex_objectives;
+          Alcotest.test_case "complete root solved once" `Quick
+            test_table3_complete_root_solved_once;
         ] );
       ( "gen",
         [
