@@ -1308,249 +1308,6 @@ let run_serve_smoke () =
     reduction
 
 (* ------------------------------------------------------------------ *)
-(* Serve batch A/B (CI leg)                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The coalescing A/B: the same burst of identical requests against a
-   real in-process [mmap serve] daemon, once with the plain FIFO
-   (max_batch 1) and once with coalescing (max_batch 8, 50 ms linger).
-   Client-side latency is measured from the burst start to each
-   response arrival; throughput is the burst size over the last
-   arrival. Recorded as the serve_batch_ab cell of a minimal
-   BENCH_lp.json. Exits nonzero when any response errors, when the two
-   arms disagree on any objective (coalescing must never change the
-   optimum), or when the batched arm fails to form a batch. *)
-let run_serve_batch_ab () =
-  header "Serve batch A/B: coalesced burst vs FIFO through mmap serve";
-  let point = List.hd Mm_workload.Table3.points in
-  let spec = point.Mm_workload.Table3.spec in
-  let board, design = Mm_workload.Gen.instance spec in
-  let cap = quick_cap () in
-  let knobs = Mm_service.Knobs.make ~time_limit:cap () in
-  let burst = 12 in
-  let workers = 2 in
-  let lines =
-    List.init burst (fun i ->
-        Mm_obs.Json.to_string
-          (Mm_service.Request.to_json
-             (Mm_service.Request.make ~id:(Printf.sprintf "q%d" i) ~knobs
-                board design)))
-  in
-  let arm ~label ~max_batch ~batch_linger_ms =
-    let dir = Filename.temp_file "mm_bench_serve" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    let socket = Filename.concat dir "mm.sock" in
-    let opts =
-      Mm_service.Server.options ~workers ~queue_capacity:64 ~max_batch
-        ~batch_linger_ms socket
-    in
-    let ready_mu = Mutex.create () in
-    let ready_cv = Condition.create () in
-    let ready = ref false in
-    let on_ready () =
-      Mutex.lock ready_mu;
-      ready := true;
-      Condition.signal ready_cv;
-      Mutex.unlock ready_mu
-    in
-    let srv =
-      Thread.create
-        (fun () -> ignore (Mm_service.Server.run ~on_ready opts))
-        ()
-    in
-    Mutex.lock ready_mu;
-    while not !ready do
-      Condition.wait ready_cv ready_mu
-    done;
-    Mutex.unlock ready_mu;
-    let client =
-      match Mm_service.Client.connect socket with
-      | Ok c -> c
-      | Error e ->
-          Printf.eprintf "serve-batch-ab: %s: %s\n" label e;
-          exit 1
-    in
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun l ->
-        match Mm_service.Client.send client l with
-        | Ok () -> ()
-        | Error e ->
-            Printf.eprintf "serve-batch-ab: %s send: %s\n" label e;
-            exit 1)
-      lines;
-    let shots =
-      List.init burst (fun i ->
-          match Mm_service.Client.recv client with
-          | Error e ->
-              Printf.eprintf "serve-batch-ab: %s recv %d: %s\n" label i e;
-              exit 1
-          | Ok line -> (
-              let arrival = Unix.gettimeofday () -. t0 in
-              match
-                Result.bind (Mm_obs.Json.of_string line)
-                  Mm_service.Request.response_of_json
-              with
-              | Ok (Mm_service.Request.Ok_response { report; _ }) -> (
-                  match
-                    Option.bind
-                      (Mm_obs.Json.member "objective" report)
-                      Mm_obs.Json.to_float
-                  with
-                  | Some o -> (arrival, o)
-                  | None ->
-                      Printf.eprintf
-                        "serve-batch-ab: %s response %d has no objective\n"
-                        label i;
-                      exit 1)
-              | Ok (Mm_service.Request.Error_response { message; _ }) ->
-                  Printf.eprintf "serve-batch-ab: %s response %d failed: %s\n"
-                    label i message;
-                  exit 1
-              | Error e ->
-                  Printf.eprintf
-                    "serve-batch-ab: %s response %d undecodable: %s\n" label i
-                    e;
-                  exit 1))
-    in
-    let batching =
-      match
-        Mm_service.Client.send client {|{"id":"s","op":"stats"}|}
-      with
-      | Error e ->
-          Printf.eprintf "serve-batch-ab: %s stats: %s\n" label e;
-          exit 1
-      | Ok () -> (
-          match Mm_service.Client.recv client with
-          | Error e ->
-              Printf.eprintf "serve-batch-ab: %s stats recv: %s\n" label e;
-              exit 1
-          | Ok line -> (
-              match Mm_obs.Json.of_string line with
-              | Error e ->
-                  Printf.eprintf "serve-batch-ab: %s stats json: %s\n" label e;
-                  exit 1
-              | Ok json ->
-                  let num k =
-                    match
-                      Option.bind
-                        (Option.bind (Mm_obs.Json.member "batching" json)
-                           (Mm_obs.Json.member k))
-                        Mm_obs.Json.to_int
-                    with
-                    | Some v -> v
-                    | None ->
-                        Printf.eprintf
-                          "serve-batch-ab: %s stats lacks batching.%s\n" label
-                          k;
-                        exit 1
-                  in
-                  ( num "batches_formed",
-                    num "coalesced_requests",
-                    num "batch_warm_hits" )))
-    in
-    ignore (Mm_service.Client.send client {|{"id":"fin","op":"shutdown"}|});
-    ignore (Mm_service.Client.recv client);
-    Mm_service.Client.close client;
-    Thread.join srv;
-    (try Sys.remove socket with Sys_error _ -> ());
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-    (shots, batching)
-  in
-  let unb_shots, _ = arm ~label:"unbatched" ~max_batch:1 ~batch_linger_ms:0. in
-  let bat_shots, (formed, coalesced, warm_hits) =
-    arm ~label:"batched" ~max_batch:8 ~batch_linger_ms:50.
-  in
-  let pctl shots q =
-    let a = Array.of_list (List.map fst shots) in
-    Array.sort compare a;
-    let n = Array.length a in
-    a.(min (n - 1) (int_of_float (ceil (q *. float_of_int (n - 1)))))
-  in
-  let total shots = List.fold_left (fun m (a, _) -> Float.max m a) 0. shots in
-  let rps shots = float_of_int burst /. Float.max 1e-9 (total shots) in
-  let t =
-    Table.create
-      [
-        ("arm", Table.Left);
-        ("req/s", Table.Right);
-        ("p50 (s)", Table.Right);
-        ("p99 (s)", Table.Right);
-        ("batches", Table.Right);
-        ("coalesced", Table.Right);
-        ("warm hits", Table.Right);
-      ]
-  in
-  Table.add_row t
-    [
-      "unbatched";
-      Printf.sprintf "%.2f" (rps unb_shots);
-      Printf.sprintf "%.3f" (pctl unb_shots 0.5);
-      Printf.sprintf "%.3f" (pctl unb_shots 0.99);
-      "0"; "0"; "0";
-    ];
-  Table.add_row t
-    [
-      "batched";
-      Printf.sprintf "%.2f" (rps bat_shots);
-      Printf.sprintf "%.3f" (pctl bat_shots 0.5);
-      Printf.sprintf "%.3f" (pctl bat_shots 0.99);
-      string_of_int formed;
-      string_of_int coalesced;
-      string_of_int warm_hits;
-    ];
-  Table.print t;
-  let objectives = List.map snd (unb_shots @ bat_shots) in
-  let obj0 = List.hd objectives in
-  let drifted = List.filter (fun o -> Float.abs (o -. obj0) > 1e-6) objectives in
-  if drifted <> [] then begin
-    List.iter
-      (fun o ->
-        Printf.eprintf
-          "serve-batch-ab: objective drift: %.9g vs %.9g across arms\n" o obj0)
-      drifted;
-    exit 1
-  end;
-  if formed < 1 then begin
-    Printf.eprintf
-      "serve-batch-ab: the batched arm never formed a batch (linger too \
-       short for this machine?)\n";
-    exit 1
-  end;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "{\n  \"benchmark\": \"serve batch A/B (table3 point 0)\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" cap);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"burst\": %d, \"workers\": %d,\n" burst workers);
-  Buffer.add_string buf "  \"serve_batch_ab\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"unbatched\": { \"req_per_s\": %.3f, \"p50_s\": %.4f, \
-        \"p99_s\": %.4f },\n"
-       (rps unb_shots) (pctl unb_shots 0.5) (pctl unb_shots 0.99));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"batched\": { \"max_batch\": 8, \"linger_ms\": 50, \
-        \"req_per_s\": %.3f, \"p50_s\": %.4f, \"p99_s\": %.4f, \
-        \"batches_formed\": %d, \"coalesced_requests\": %d, \
-        \"batch_warm_hits\": %d },\n"
-       (rps bat_shots) (pctl bat_shots 0.5) (pctl bat_shots 0.99) formed
-       coalesced warm_hits);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"objective\": %.3f,\n" obj0);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"throughput_gain_percent\": %.2f\n"
-       (100. *. (rps bat_shots -. rps unb_shots) /. Float.max 1e-9 (rps unb_shots)));
-  Buffer.add_string buf "  }\n}\n";
-  write_bench_lp "serve batch A/B" buf;
-  line
-    "both arms agree on the objective; batched arm formed %d batches \
-     (%d coalesced, %d warm hits)."
-    formed coalesced warm_hits
-
-(* ------------------------------------------------------------------ *)
 (* Scaling (CI leg)                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1835,7 +1592,6 @@ let experiments =
     ("ablation-arbitration", run_ablation_arbitration);
     ("cuts-smoke", run_cuts_smoke);
     ("serve-smoke", run_serve_smoke);
-    ("serve-batch-ab", run_serve_batch_ab);
     ("scaling", run_scaling);
     ("micro", run_micro);
   ]
@@ -1862,8 +1618,7 @@ let () =
            record *)
         List.filter
           (fun n ->
-            n <> "cuts-smoke" && n <> "scaling"
-            && n <> "serve-batch-ab")
+            n <> "cuts-smoke" && n <> "scaling")
           (List.map fst experiments)
     | names -> names
   in

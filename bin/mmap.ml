@@ -418,19 +418,6 @@ let serve_cmd =
            ~doc:"Warm-start cache entries (boards) retained, LRU; \
                  $(b,0) disables warm starts.")
   in
-  let max_batch_arg =
-    Arg.(value & opt int 1 & info [ "max-batch" ] ~docv:"N"
-           ~doc:"Coalesce up to $(docv) queued requests sharing a board, \
-                 method and solver configuration into one batch, solved \
-                 with one shared warm-up pass; $(b,1) (default) keeps the \
-                 plain FIFO.")
-  in
-  let linger_arg =
-    Arg.(value & opt float 0. & info [ "batch-linger-ms" ] ~docv:"MS"
-           ~doc:"After taking a request, wait up to $(docv) milliseconds \
-                 for more coalescable requests before solving (only with \
-                 $(b,--max-batch) > 1).")
-  in
   let cache_file_arg =
     Arg.(value & opt (some string) None & info [ "cache-file" ] ~docv:"PATH"
            ~doc:"Persist the warm-start cache: load $(docv) at startup \
@@ -438,8 +425,8 @@ let serve_cmd =
                  graceful shutdown, so a restarted daemon answers its \
                  first repeat requests warm.")
   in
-  let run () socket workers queue_capacity cache_capacity max_batch
-      batch_linger_ms cache_file knobs trace_out =
+  let run () socket workers queue_capacity cache_capacity cache_file knobs
+      trace_out =
     let trace =
       match trace_out with
       | None -> Mm_obs.Trace.disabled
@@ -449,8 +436,7 @@ let serve_cmd =
       try
         Mm_service.Server.run
           (Mm_service.Server.options ~workers ~queue_capacity ~cache_capacity
-             ~max_batch ~batch_linger_ms ?cache_file ~default_knobs:knobs
-             ~trace socket)
+             ?cache_file ~default_knobs:knobs ~trace socket)
       with Mm_service.Server.Already_running path ->
         Printf.eprintf "mmap serve: a daemon is already listening on %s\n" path;
         exit 1
@@ -474,8 +460,8 @@ let serve_cmd =
              none. Stop it with $(b,mmap request --shutdown).")
     Term.(
       const run $ logs_term $ socket_arg $ workers_arg $ queue_arg
-      $ cache_arg $ max_batch_arg $ linger_arg $ cache_file_arg
-      $ Solver_flags.term $ Solver_flags.trace_arg)
+      $ cache_arg $ cache_file_arg $ Solver_flags.term
+      $ Solver_flags.trace_arg)
 
 (* ---- request ---------------------------------------------------------- *)
 

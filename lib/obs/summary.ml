@@ -218,15 +218,13 @@ let render events =
         else None)
       events
   in
-  (* histograms named [*_size] or [*_permille] hold raw magnitudes
-     (members per coalesced batch, LU solve density), not durations:
-     the wire format still scales buckets to "seconds", so multiply
-     back by 1e9 and render them unitless in their own table *)
-  let size_hists, hists =
+  (* histograms named [*_permille] hold raw magnitudes (LU solve
+     density), not durations: the wire format still scales buckets to
+     "seconds", so multiply back by 1e9 and render them unitless in
+     their own table *)
+  let magnitude_hists, hists =
     List.partition
-      (fun (name, _) ->
-        String.ends_with ~suffix:"_size" name
-        || String.ends_with ~suffix:"_permille" name)
+      (fun (name, _) -> String.ends_with ~suffix:"_permille" name)
       hists
   in
   (if hists <> [] then
@@ -261,7 +259,7 @@ let render events =
            ])
        hists;
      section "" (Mm_util.Table.render tbl));
-  (if size_hists <> [] then
+  (if magnitude_hists <> [] then
      let tbl =
        Mm_util.Table.create ~title:"Magnitude histograms"
          [
@@ -291,7 +289,7 @@ let render events =
              pctl bk 0.99;
              Printf.sprintf "%g" (mx *. 1e9);
            ])
-       size_hists;
+       magnitude_hists;
      section "" (Mm_util.Table.render tbl));
   (* per-domain search statistics *)
   let doms =

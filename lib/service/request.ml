@@ -85,21 +85,6 @@ let fingerprint r =
             Knobs.fingerprint_string r.knobs;
           ]))
 
-(* The coalescing key deliberately drops the design: queued requests
-   against one board under one solver configuration are solved as a
-   batch by a single worker, sharing that board's freshly-trained warm
-   state. Any fingerprinted knob difference separates batches — batch
-   members must be exchangeable down to the search schedule. *)
-let batch_key r =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          [
-            method_to_string r.method_;
-            Mm_io.Board_file.to_string r.board;
-            Knobs.fingerprint_string r.knobs;
-          ]))
-
 (* ---- responses -------------------------------------------------------- *)
 
 type error_code =

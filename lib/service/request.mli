@@ -61,16 +61,6 @@ val fingerprint : t -> string
     share a key iff a warm state trained on one is valid for the
     other. *)
 
-val batch_key : t -> string
-(** Coalescing key: like {!fingerprint} but without the design — a
-    digest over the canonical board text, the method and the
-    ILP-shaping knobs. Queued requests sharing a batch key are drained
-    as one group by a single worker ({!Server}'s coalescing scheduler)
-    and solved through {!Engine.run_batch}; members that also share a
-    full {!fingerprint} ride the warm state the group's first solve
-    trains. Requests differing in any fingerprinted knob never share a
-    batch. *)
-
 (** {2 Responses} *)
 
 type error_code =

@@ -12,14 +12,12 @@ type options = {
   cache_capacity : int;
   default_knobs : Knobs.t;
   trace : Trace.t;
-  max_batch : int;
-  batch_linger_ms : float;
   cache_file : string option;
 }
 
 let options ?(workers = 2) ?(queue_capacity = 16) ?(cache_capacity = 64)
-    ?(default_knobs = Knobs.default) ?(trace = Trace.disabled) ?(max_batch = 1)
-    ?(batch_linger_ms = 0.) ?cache_file socket_path =
+    ?(default_knobs = Knobs.default) ?(trace = Trace.disabled) ?cache_file
+    socket_path =
   {
     socket_path;
     workers;
@@ -27,19 +25,16 @@ let options ?(workers = 2) ?(queue_capacity = 16) ?(cache_capacity = 64)
     cache_capacity;
     default_knobs;
     trace;
-    max_batch;
-    batch_linger_ms;
     cache_file;
   }
 
 (* ---- bounded job queue ------------------------------------------------ *)
 
 (* Requests are decoded at admission (the reader thread), not by the
-   worker: coalescing needs the batch key before grouping, and a parse
-   error can be answered inline without occupying a queue slot. *)
+   worker: a malformed request is answered inline without occupying a
+   queue slot, and workers spend their time only on solves. *)
 type job = {
   req : Request.t;
-  key : string;  (** {!Request.batch_key}, precomputed *)
   queued_ns : int64;
   reply : string -> unit;
 }
@@ -89,54 +84,6 @@ let queue_pop q =
   Mutex.unlock q.mu;
   job
 
-(* Pull every queued job matching [key] (up to [limit]), preserving
-   queue order for both the extracted jobs and the survivors. Caller
-   holds [q.mu]. *)
-let queue_extract_matching q key limit acc =
-  let keep = Queue.create () in
-  let n = ref 0 in
-  Queue.iter
-    (fun j ->
-      if !n < limit && String.equal j.key key then begin
-        incr n;
-        acc := j :: !acc
-      end
-      else Queue.push j keep)
-    q.jobs;
-  Queue.clear q.jobs;
-  Queue.transfer keep q.jobs;
-  !n
-
-(* The coalescing pop: block for one job, then — when batching is on —
-   keep draining same-key jobs until the batch is full or the linger
-   window closes. OCaml's [Condition] has no timed wait, so the linger
-   is a short [Thread.delay] polling loop; the window only opens after
-   a first job is in hand, so an idle server burns no cycles. *)
-let queue_pop_batch q ~max_batch ~linger_s =
-  match queue_pop q with
-  | None -> None
-  | Some first when max_batch <= 1 -> Some [ first ]
-  | Some first ->
-      let acc = ref [ first ] in
-      let count = ref 1 in
-      let deadline = Unix.gettimeofday () +. linger_s in
-      let rec gather () =
-        Mutex.lock q.mu;
-        let stopped = q.stopped in
-        count :=
-          !count + queue_extract_matching q first.key (max_batch - !count) acc;
-        Mutex.unlock q.mu;
-        if !count < max_batch && not stopped then begin
-          let remaining = deadline -. Unix.gettimeofday () in
-          if remaining > 0. then begin
-            Thread.delay (Float.min 5e-4 remaining);
-            gather ()
-          end
-        end
-      in
-      gather ();
-      Some (List.rev !acc)
-
 let queue_stop q =
   Mutex.lock q.mu;
   q.stopped <- true;
@@ -148,6 +95,31 @@ let queue_depth q =
   let n = Queue.length q.jobs in
   Mutex.unlock q.mu;
   n
+
+(* ---- request-level latency histograms --------------------------------- *)
+
+(* One set per worker (histograms are single-writer, like trace sinks):
+   queue wait from admission to dequeue, solve through {!Engine.handle},
+   encode of the response line. Flushed to the worker's sink when it
+   drains out, which is what [mmap trace-summary] turns into p50/p99
+   service latency. *)
+type timing = {
+  queue_wait : Trace.hist;
+  solve : Trace.hist;
+  encode : Trace.hist;
+}
+
+let timing () =
+  {
+    queue_wait = Trace.hist_create ();
+    solve = Trace.hist_create ();
+    encode = Trace.hist_create ();
+  }
+
+let emit_timing snk tm =
+  Trace.emit_hist snk "queue_wait" tm.queue_wait;
+  Trace.emit_hist snk "solve" tm.solve;
+  Trace.emit_hist snk "encode" tm.encode
 
 (* ---- the daemon ------------------------------------------------------- *)
 
@@ -183,10 +155,7 @@ let run ?(on_ready = fun () -> ()) (o : options) =
   (* probe before spawning worker domains so a refused start leaves
      nothing to tear down *)
   claim_socket_path o.socket_path;
-  let engine =
-    Engine.create ~cache_capacity:o.cache_capacity
-      ~default_knobs:o.default_knobs ()
-  in
+  let engine = Engine.create ~cache_capacity:o.cache_capacity () in
   (match o.cache_file with
   | Some path when Sys.file_exists path -> (
       match Cache.load (Engine.cache engine) path with
@@ -196,8 +165,6 @@ let run ?(on_ready = fun () -> ()) (o : options) =
           Log.warn (fun m -> m "warm cache: ignoring %s (%s)" path e))
   | _ -> ());
   let q = queue_create o.queue_capacity in
-  let max_batch = max 1 o.max_batch in
-  let linger_s = Float.max 0. o.batch_linger_ms /. 1e3 in
   let stopping = ref false in
   let stop_mu = Mutex.create () in
   (* worker sinks are registered here, before any domain spawns, so
@@ -208,36 +175,22 @@ let run ?(on_ready = fun () -> ()) (o : options) =
     Array.init nworkers (fun i ->
         Domain.spawn (fun () ->
             let snk = sinks.(i) in
-            let tm = Engine.timing () in
-            let member_of_job job =
-              let solve_t0 = ref 0L in
-              {
-                Engine.req = job.req;
-                started =
-                  (fun () ->
-                    let now = Trace.now_ns () in
-                    Trace.hist_add tm.Engine.queue_wait
-                      (Int64.sub now job.queued_ns);
-                    solve_t0 := now);
-                respond =
-                  (fun resp ->
-                    Trace.hist_add tm.Engine.solve
-                      (Int64.sub (Trace.now_ns ()) !solve_t0);
-                    let t0 = Trace.now_ns () in
-                    let line = J.to_string (Request.response_to_json resp) in
-                    Trace.hist_add tm.Engine.encode
-                      (Int64.sub (Trace.now_ns ()) t0);
-                    job.reply line);
-              }
-            in
+            let tm = timing () in
             let rec loop () =
-              match queue_pop_batch q ~max_batch ~linger_s with
-              | None -> Engine.emit_timing snk tm
-              | Some jobs ->
-                  if max_batch > 1 then
-                    Trace.hist_add tm.Engine.batch_size
-                      (Int64.of_int (List.length jobs));
-                  Engine.run_batch engine ~snk (List.map member_of_job jobs);
+              match queue_pop q with
+              | None -> emit_timing snk tm
+              | Some job ->
+                  let t0 = Trace.now_ns () in
+                  Trace.hist_add tm.queue_wait (Int64.sub t0 job.queued_ns);
+                  let resp =
+                    Trace.span snk "request" (fun () ->
+                        Engine.handle engine ~snk job.req)
+                  in
+                  let t1 = Trace.now_ns () in
+                  Trace.hist_add tm.solve (Int64.sub t1 t0);
+                  let line = J.to_string (Request.response_to_json resp) in
+                  Trace.hist_add tm.encode (Int64.sub (Trace.now_ns ()) t1);
+                  job.reply line;
                   loop ()
             in
             loop ()))
@@ -287,10 +240,8 @@ let run ?(on_ready = fun () -> ()) (o : options) =
            ("status", J.Str "ok");
            ("op", J.Str "stats");
            ("cache", Cache.stats_to_json (Engine.cache_stats engine));
-           ("batching", Engine.batch_stats_to_json (Engine.batch_stats engine));
            ("queue_depth", J.Num (float_of_int (queue_depth q)));
            ("workers", J.Num (float_of_int nworkers));
-           ("max_batch", J.Num (float_of_int max_batch));
          ])
   in
   let serve_conn fd =
@@ -339,14 +290,7 @@ let run ?(on_ready = fun () -> ()) (o : options) =
                 | Error msg ->
                     reply (error_line ~id Request.Bad_request msg)
                 | Ok req ->
-                    let job =
-                      {
-                        req;
-                        key = Request.batch_key req;
-                        queued_ns = Trace.now_ns ();
-                        reply;
-                      }
-                    in
+                    let job = { req; queued_ns = Trace.now_ns (); reply } in
                     if not (queue_try_push q job) then
                       reply
                         (error_line ~id Request.Overloaded

@@ -6,24 +6,19 @@
     - one reader {e thread} per accepted connection parses lines and
       classifies them: control ops ([{"op":"stats"}],
       [{"op":"shutdown"}]) are answered inline; mapping requests are
-      pushed onto the bounded job queue;
+      decoded there too (a malformed one is answered [bad_request]
+      inline and takes no queue slot) and pushed onto the bounded job
+      queue;
     - the queue is mutex/condvar-bounded ([queue_capacity]); when it is
       full the reader answers [{"status":"error","code":"overloaded"}]
       immediately instead of buffering — clients get explicit
       backpressure, the daemon's memory stays bounded;
-    - [workers] OCaml {e domains} pop jobs and run {!Engine.run_batch}
-      (warm-cache lease, mapper, response encode); each owns one trace
-      sink and one {!Engine.timing} histogram set, flushed when the
-      worker drains out, so [mmap trace-summary] on the daemon's trace
-      shows p50/p99 queue-wait/solve/encode latency;
-    - with [max_batch > 1] the pop {e coalesces}: after taking one job
-      the worker keeps draining queued jobs with the same
-      {!Request.batch_key} (board × method × fingerprinted knobs) for
-      up to [batch_linger_ms], handing the whole group to
-      {!Engine.run_batch} so one decoded board and one freshly-trained
-      warm state serve every member; responses still stream out per
-      member as each completes. [max_batch = 1] (the default) is the
-      historical FIFO, byte-identical;
+    - [workers] OCaml {e domains} pop jobs in FIFO order, one at a
+      time, and run {!Engine.handle} (warm-cache lease, mapper), then
+      encode the response; each owns one trace sink and one set of
+      queue-wait/solve/encode histograms, flushed when the worker
+      drains out, so [mmap trace-summary] on the daemon's trace shows
+      p50/p99 service latency;
     - responses are written back on the requesting connection under a
       per-connection write mutex (they may interleave across workers —
       match them by [id]);
@@ -48,14 +43,6 @@ type options = {
           daemon's command-line flags *)
   trace : Mm_obs.Trace.t;
       (** worker sinks register here; dump it after {!run} returns *)
-  max_batch : int;
-      (** most requests one coalesced batch may hold, default 1 (no
-          coalescing — the historical FIFO) *)
-  batch_linger_ms : float;
-      (** how long a worker holding a partial batch waits for more
-          same-key requests, default 0 (drain only what is already
-          queued); the window opens {e after} the first job is taken,
-          so an idle server never waits *)
   cache_file : string option;
       (** warm-cache persistence path: loaded (if present and valid)
           before accepting, saved on graceful shutdown; a corrupt file
@@ -68,8 +55,6 @@ val options :
   ?cache_capacity:int ->
   ?default_knobs:Knobs.t ->
   ?trace:Mm_obs.Trace.t ->
-  ?max_batch:int ->
-  ?batch_linger_ms:float ->
   ?cache_file:string ->
   string ->
   options

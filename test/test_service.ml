@@ -126,6 +126,29 @@ let prop_request_fingerprint_canonical =
       in
       Request.fingerprint r' = Request.fingerprint r)
 
+let prop_fingerprint_tracks_knob_fingerprint =
+  (* two requests for the same board, design and method share a
+     warm-cache key iff their knobs agree on every fingerprinted field —
+     any solver-visible difference must separate them *)
+  qtest ~count:60 "fingerprint separates exactly on knob fingerprint"
+    (QCheck.pair request_arb knobs_arb) (fun (r, k2) ->
+      let r2 = { r with Request.knobs = k2 } in
+      let same_fp =
+        Knobs.fingerprint_string r.Request.knobs = Knobs.fingerprint_string k2
+      in
+      (Request.fingerprint r = Request.fingerprint r2) = same_fp)
+
+let prop_fingerprint_ignores_time_limit =
+  qtest ~count:40 "time limit never separates a fingerprint" request_arb
+    (fun r ->
+      let r2 =
+        {
+          r with
+          Request.knobs = { r.Request.knobs with Knobs.time_limit = Some 42.0 };
+        }
+      in
+      Request.fingerprint r = Request.fingerprint r2)
+
 let prop_response_roundtrip =
   qtest "response_of_json (response_to_json r) = Ok r" response_arb (fun r ->
       match Request.response_of_json (Request.response_to_json r) with
@@ -214,6 +237,21 @@ let test_mapper_attempts_recorded () =
             a.Mm_mapping.Mapper.index)
         o.Mm_mapping.Mapper.attempts
 
+let test_fingerprint_separates_designs () =
+  (* warm state trained on one design is not valid for another on the
+     same board *)
+  let board, design = small_instance () in
+  let rng = Mm_util.Prng.create 99 in
+  let design2 = Mm_workload.Gen.random_design rng ~segments:5 board in
+  let r1 = Request.make ~id:"a" board design in
+  let r2 = Request.make ~id:"b" board design2 in
+  if
+    Mm_io.Design_file.to_string design <> Mm_io.Design_file.to_string design2
+  then
+    Alcotest.(check bool)
+      "distinct designs get distinct fingerprints" true
+      (Request.fingerprint r1 <> Request.fingerprint r2)
+
 (* --- cache ------------------------------------------------------------------ *)
 
 let test_cache_lease_semantics () =
@@ -294,16 +332,6 @@ let test_engine_warm_cache_hits () =
   | Some (J.List (_ :: _)) -> ()
   | _ -> Alcotest.fail "warm solve did not record warm_applied"
 
-let test_engine_bad_request () =
-  let engine = Engine.create () in
-  match Engine.handle_json engine (J.Obj [ ("id", J.Str "x") ]) with
-  | Request.Error_response { id; code; _ } ->
-      Alcotest.(check string) "echoes id" "x" id;
-      Alcotest.(check string)
-        "bad_request" "bad_request"
-        (Request.error_code_to_string code)
-  | Request.Ok_response _ -> Alcotest.fail "expected an error response"
-
 let test_engine_time_limit () =
   (* an unreachably small budget must surface as solver_limit, the
      service's request-timeout path *)
@@ -330,16 +358,12 @@ let test_engine_time_limit () =
 
 (* --- server ----------------------------------------------------------------- *)
 
-let with_server ?(workers = 2) ?(queue_capacity = 16) ?(max_batch = 1)
-    ?(batch_linger_ms = 0.) ?cache_file f =
+let with_server ?(workers = 2) ?(queue_capacity = 16) ?cache_file f =
   let dir = Filename.temp_file "mm_service_test" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let socket = Filename.concat dir "mm.sock" in
-  let opts =
-    Server.options ~workers ~queue_capacity ~max_batch ~batch_linger_ms
-      ?cache_file socket
-  in
+  let opts = Server.options ~workers ~queue_capacity ?cache_file socket in
   let ready_mu = Mutex.create () in
   let ready_cv = Condition.create () in
   let ready = ref false in
@@ -513,6 +537,15 @@ let test_server_control_ops () =
             match decode_response reply with
             | Request.Error_response { code = Request.Bad_request; _ } -> ()
             | _ -> Alcotest.fail "unknown op must be bad_request"));
+        (* a request that fails to decode is answered at admission and
+           still carries the client's id *)
+        (match Client.request ~socket {|{"id":"x"}|} with
+        | Error e -> Alcotest.failf "undecodable request: %s" e
+        | Ok reply -> (
+            match decode_response reply with
+            | Request.Error_response { id; code = Request.Bad_request; _ } ->
+                Alcotest.(check string) "echoes id" "x" id
+            | _ -> Alcotest.fail "a boardless request must be bad_request"));
         match Client.request ~socket "not json at all" with
         | Error e -> Alcotest.failf "garbage line: %s" e
         | Ok reply -> (
@@ -572,145 +605,6 @@ let test_server_rejects_unknown_knobs () =
                 Alcotest.failf "server stopped answering: %s" message))
   in
   ()
-
-(* --- batch coalescing ------------------------------------------------------- *)
-
-let prop_batch_key_tracks_knob_fingerprint =
-  (* two requests for the same board/method share a batch iff their
-     knobs agree on every fingerprinted field — any solver-visible
-     difference must separate them *)
-  qtest ~count:60 "batch key separates exactly on knob fingerprint"
-    (QCheck.pair request_arb knobs_arb) (fun (r, k2) ->
-      let r2 = { r with Request.knobs = k2 } in
-      let same_fp =
-        Knobs.fingerprint_string r.Request.knobs = Knobs.fingerprint_string k2
-      in
-      (Request.batch_key r = Request.batch_key r2) = same_fp)
-
-let prop_batch_key_ignores_time_limit =
-  qtest ~count:40 "time limit never separates a batch" request_arb (fun r ->
-      let r2 =
-        {
-          r with
-          Request.knobs = { r.Request.knobs with Knobs.time_limit = Some 42.0 };
-        }
-      in
-      Request.batch_key r = Request.batch_key r2)
-
-let test_batch_key_shares_across_designs () =
-  (* different designs on one board coalesce (same batch key) but must
-     not share warm state (different fingerprint) *)
-  let board, design = small_instance () in
-  let rng = Mm_util.Prng.create 99 in
-  let design2 = Mm_workload.Gen.random_design rng ~segments:5 board in
-  let r1 = Request.make ~id:"a" board design in
-  let r2 = Request.make ~id:"b" board design2 in
-  Alcotest.(check string)
-    "same batch key"
-    (Request.batch_key r1)
-    (Request.batch_key r2);
-  if
-    Mm_io.Design_file.to_string design <> Mm_io.Design_file.to_string design2
-  then
-    Alcotest.(check bool)
-      "distinct designs get distinct fingerprints" true
-      (Request.fingerprint r1 <> Request.fingerprint r2)
-
-let batch_requests_gen =
-  QCheck.Gen.(
-    let* seed = int_range 1 10_000 in
-    let* extra = int_range 1 2 in
-    let rng = Mm_util.Prng.create seed in
-    let board = Mm_workload.Gen.random_board rng in
-    let d1 = Mm_workload.Gen.random_design rng ~segments:3 board in
-    (* a duplicated design exercises the in-batch warm-hit path; the
-       extras exercise cross-design grouping *)
-    let designs =
-      d1 :: d1
-      :: List.init extra (fun _ ->
-             Mm_workload.Gen.random_design rng ~segments:3 board)
-    in
-    return
-      (List.mapi
-         (fun i d -> Request.make ~id:(Printf.sprintf "m%d" i) board d)
-         designs))
-
-let batch_requests_arb =
-  QCheck.make
-    ~print:(fun rs ->
-      String.concat "\n"
-        (List.map (fun r -> J.to_string (Request.to_json r)) rs))
-    batch_requests_gen
-
-let response_equivalent a b =
-  match (a, b) with
-  | Request.Ok_response ra, Request.Ok_response rb ->
-      let obj r = Option.bind (J.member "objective" r) J.to_float in
-      ra.id = rb.id
-      && (match (obj ra.report, obj rb.report) with
-         | Some x, Some y ->
-             Float.abs (x -. y) <= 1e-6 *. Float.max 1.0 (Float.abs x)
-         | None, None -> true
-         | _ -> false)
-  | Request.Error_response ea, Request.Error_response eb ->
-      ea.id = eb.id && ea.code = eb.code
-  | _ -> false
-
-let prop_batch_equivalence =
-  qtest ~count:6 "batched responses match unbatched solves"
-    batch_requests_arb (fun reqs ->
-      let solo = Engine.create () in
-      let unbatched = List.map (Engine.handle solo) reqs in
-      let eng = Engine.create () in
-      let out : (string, Request.response) Hashtbl.t = Hashtbl.create 8 in
-      let started = ref 0 in
-      let members =
-        List.map
-          (fun r ->
-            {
-              Engine.req = r;
-              started = (fun () -> incr started);
-              respond = (fun resp -> Hashtbl.replace out r.Request.id resp);
-            })
-          reqs
-      in
-      Engine.run_batch eng members;
-      if !started <> List.length reqs then
-        QCheck.Test.fail_reportf "started %d of %d members" !started
-          (List.length reqs);
-      List.for_all2
-        (fun r solo_resp ->
-          match Hashtbl.find_opt out r.Request.id with
-          | None ->
-              QCheck.Test.fail_reportf "member %s never answered" r.Request.id
-          | Some batch_resp ->
-              response_equivalent solo_resp batch_resp
-              || QCheck.Test.fail_reportf "member %s diverged: %s vs %s"
-                   r.Request.id
-                   (J.to_string (Request.response_to_json solo_resp))
-                   (J.to_string (Request.response_to_json batch_resp)))
-        reqs unbatched)
-
-let test_run_batch_counters () =
-  let board, design = small_instance () in
-  let eng = Engine.create () in
-  let members n =
-    List.init n (fun i ->
-        {
-          Engine.req = Request.make ~id:(Printf.sprintf "c%d" i) board design;
-          started = ignore;
-          respond = ignore;
-        })
-  in
-  Engine.run_batch eng (members 1);
-  let s = Engine.batch_stats eng in
-  Alcotest.(check int) "singletons form no batch" 0 s.Engine.batches_formed;
-  Engine.run_batch eng (members 3);
-  let s = Engine.batch_stats eng in
-  Alcotest.(check int) "one batch formed" 1 s.Engine.batches_formed;
-  Alcotest.(check int) "two members coalesced" 2 s.Engine.coalesced_requests;
-  Alcotest.(check int)
-    "identical members ride warm state" 2 s.Engine.batch_warm_hits
 
 (* --- warm-cache persistence -------------------------------------------------- *)
 
@@ -817,13 +711,16 @@ let test_cache_save_load_file_roundtrip () =
           | Ok n3 -> Alcotest.(check int) "re-load count" n1 n3
           | Error e -> Alcotest.failf "re-load: %s" e))
 
-(* --- server batching / client retry ------------------------------------------ *)
+(* --- server FIFO burst / client retry ----------------------------------------- *)
 
-let test_server_batched_burst () =
+let test_server_fifo_burst () =
+  (* one worker drains a pipelined burst in arrival order: every
+     request is answered, at one objective, and each takes exactly one
+     cache lease *)
   let board, design = small_instance () in
   let n = 6 in
-  let (objs, batching), _ =
-    with_server ~workers:1 ~max_batch:8 ~batch_linger_ms:300. (fun socket ->
+  let (objs, stats), _ =
+    with_server ~workers:1 (fun socket ->
         let lines =
           List.init n (fun i ->
               J.to_string
@@ -833,7 +730,7 @@ let test_server_batched_burst () =
         match Client.roundtrip ~socket lines with
         | Error e -> Alcotest.failf "client: %s" e
         | Ok replies ->
-            Alcotest.(check int) "every burst member answered" n
+            Alcotest.(check int) "every burst request answered" n
               (List.length replies);
             let objs =
               List.map
@@ -846,43 +743,41 @@ let test_server_batched_burst () =
                       | Some o -> o
                       | None -> Alcotest.fail "response without objective")
                   | Request.Error_response { code; message; _ } ->
-                      Alcotest.failf "burst member failed (%s): %s"
+                      Alcotest.failf "burst request failed (%s): %s"
                         (Request.error_code_to_string code)
                         message)
                 replies
             in
-            let batching =
+            let stats =
               match Client.request ~socket {|{"id":"s","op":"stats"}|} with
               | Error e -> Alcotest.failf "stats: %s" e
               | Ok reply -> (
                   match J.of_string reply with
                   | Error e -> Alcotest.failf "stats reply not JSON: %s" e
-                  | Ok json -> (
-                      match J.member "batching" json with
-                      | Some b -> b
-                      | None -> Alcotest.fail "stats without batching object"))
+                  | Ok json -> json)
             in
-            (objs, batching))
+            (objs, stats))
   in
   (match objs with
   | o :: rest ->
       List.iter
-        (fun o' ->
-          Alcotest.(check (float 1e-6)) "batched objectives identical" o o')
+        (fun o' -> Alcotest.(check (float 1e-6)) "objectives identical" o o')
         rest
   | [] -> Alcotest.fail "no responses");
-  let num k =
-    match Option.bind (J.member k batching) J.to_int with
+  let cache_num k =
+    match
+      Option.bind (J.member "cache" stats) (fun c ->
+          Option.bind (J.member k c) J.to_int)
+    with
     | Some v -> v
-    | None -> Alcotest.failf "batching.%s missing" k
+    | None -> Alcotest.failf "stats cache.%s missing" k
   in
-  Alcotest.(check bool) "a batch formed" true (num "batches_formed" >= 1);
+  Alcotest.(check int)
+    "one lease per request" n
+    (cache_num "hits" + cache_num "misses");
   Alcotest.(check bool)
-    "requests coalesced" true
-    (num "coalesced_requests" >= 1);
-  Alcotest.(check bool)
-    "members rode in-batch warm state" true
-    (num "batch_warm_hits" >= 1)
+    "no batching object" true
+    (Option.is_none (J.member "batching" stats))
 
 let test_client_retry_overloaded () =
   let board, design = small_instance () in
@@ -934,6 +829,10 @@ let () =
           prop_knobs_fingerprint_ignores_time_limit;
           prop_request_roundtrip;
           prop_request_fingerprint_canonical;
+          prop_fingerprint_tracks_knob_fingerprint;
+          prop_fingerprint_ignores_time_limit;
+          Alcotest.test_case "distinct designs get distinct fingerprints"
+            `Quick test_fingerprint_separates_designs;
           prop_response_roundtrip;
           prop_wire_line_roundtrip;
         ] );
@@ -954,7 +853,6 @@ let () =
         [
           Alcotest.test_case "warm cache hits" `Quick
             test_engine_warm_cache_hits;
-          Alcotest.test_case "bad request" `Quick test_engine_bad_request;
           Alcotest.test_case "time limit" `Quick test_engine_time_limit;
         ] );
       ( "server",
@@ -969,18 +867,7 @@ let () =
           Alcotest.test_case "control ops" `Quick test_server_control_ops;
           Alcotest.test_case "rejects unknown knob fields" `Quick
             test_server_rejects_unknown_knobs;
-        ] );
-      ( "batching",
-        [
-          prop_batch_key_tracks_knob_fingerprint;
-          prop_batch_key_ignores_time_limit;
-          Alcotest.test_case "key shared across designs" `Quick
-            test_batch_key_shares_across_designs;
-          prop_batch_equivalence;
-          Alcotest.test_case "run_batch counters" `Quick
-            test_run_batch_counters;
-          Alcotest.test_case "server batched burst" `Quick
-            test_server_batched_burst;
+          Alcotest.test_case "fifo burst" `Quick test_server_fifo_burst;
         ] );
       ( "persistence",
         [
