@@ -537,21 +537,31 @@ let test_server_control_ops () =
             match decode_response reply with
             | Request.Error_response { code = Request.Bad_request; _ } -> ()
             | _ -> Alcotest.fail "unknown op must be bad_request"));
-        (* a request that fails to decode is answered at admission and
-           still carries the client's id *)
-        (match Client.request ~socket {|{"id":"x"}|} with
-        | Error e -> Alcotest.failf "undecodable request: %s" e
-        | Ok reply -> (
-            match decode_response reply with
-            | Request.Error_response { id; code = Request.Bad_request; _ } ->
-                Alcotest.(check string) "echoes id" "x" id
-            | _ -> Alcotest.fail "a boardless request must be bad_request"));
         match Client.request ~socket "not json at all" with
         | Error e -> Alcotest.failf "garbage line: %s" e
         | Ok reply -> (
             match decode_response reply with
             | Request.Error_response { code = Request.Bad_request; _ } -> ()
             | _ -> Alcotest.fail "garbage must be bad_request"))
+  in
+  ()
+
+let test_server_bad_request_echoes_id () =
+  (* a request that fails to decode is answered at admission and still
+     carries the client's id *)
+  let (), _ =
+    with_server (fun socket ->
+        match Client.request ~socket {|{"id":"x"}|} with
+        | Error e -> Alcotest.failf "undecodable request: %s" e
+        | Ok reply -> (
+            match decode_response reply with
+            | Request.Error_response { id; code; _ } ->
+                Alcotest.(check string) "echoes id" "x" id;
+                Alcotest.(check string)
+                  "bad_request" "bad_request"
+                  (Request.error_code_to_string code)
+            | Request.Ok_response _ ->
+                Alcotest.fail "a boardless request must be bad_request"))
   in
   ()
 
@@ -865,6 +875,8 @@ let () =
           Alcotest.test_case "refuses live socket" `Quick
             test_server_refuses_live_socket;
           Alcotest.test_case "control ops" `Quick test_server_control_ops;
+          Alcotest.test_case "bad request echoes id" `Quick
+            test_server_bad_request_echoes_id;
           Alcotest.test_case "rejects unknown knob fields" `Quick
             test_server_rejects_unknown_knobs;
           Alcotest.test_case "fifo burst" `Quick test_server_fifo_burst;
