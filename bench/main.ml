@@ -7,9 +7,16 @@
    With no experiment names, every experiment runs in a bounded "quick"
    configuration. --full raises the ILP time caps (the paper solved to
    optimality on a 248 MHz Ultra-30; the complete formulation on the
-   largest points is exactly as painful as the paper says). *)
+   largest points is exactly as painful as the paper says).
+
+   An experiment returns its JSON record (or [Null]) and its gate
+   failures. After the run the driver writes every record to
+   BENCH_lp.json as one object keyed by experiment name, prints each
+   failure, and exits 1 if there was any: the CI legs cuts-smoke,
+   serve-smoke and scaling are the experiments with gates. *)
 
 open Mm_util
+module J = Mm_obs.Json
 
 let full_mode = ref false
 let requested = ref []
@@ -18,19 +25,32 @@ let quick_cap () = if !full_mode then 900.0 else 60.0
 
 let line fmt = Printf.ksprintf (fun s -> print_string s; print_newline ()) fmt
 
-(* Every experiment that records results overwrites the one
-   BENCH_lp.json with its buffer; [what] names it in the log line. *)
-let write_bench_lp what buf =
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (%s)" what
-
 let header title =
   line "";
   line "==============================================================";
   line "%s" title;
   line "=============================================================="
+
+let int n = J.Num (float_of_int n)
+let opt_num = function Some v -> J.Num v | None -> J.Null
+
+(* the leading fields of a record: what it measured, under which cap *)
+let record_head benchmark =
+  [ ("benchmark", J.Str benchmark); ("time_cap_seconds", J.Num (quick_cap ())) ]
+
+let spec_fields (spec : Mm_workload.Gen.spec) =
+  [
+    ("segments", int spec.Mm_workload.Gen.segments);
+    ("banks", int spec.Mm_workload.Gen.banks);
+    ("ports", int spec.Mm_workload.Gen.ports);
+    ("configs", int spec.Mm_workload.Gen.configs);
+  ]
+
+(* the gates' objective check: both arms found one, within 1e-6 *)
+let same_objective a b =
+  match (a, b) with Some a, Some b -> Float.abs (a -. b) <= 1e-6 | _ -> false
+
+let objective_string o = J.to_string (opt_num o)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: FPGA on-chip RAM inventory                                 *)
@@ -212,17 +232,6 @@ type t3_cell = {
   incumbent : string;
 }
 
-(* Traced re-run of the serial global leg: wall time with tracing
-   enabled plus the per-phase span totals recovered from the trace.
-   Paired with the untraced cell it is the A/B evidence that tracing
-   is cheap when on and free when off. *)
-type t3_traced = {
-  traced_seconds : float;
-  phases : (string * float) list;
-  (* count-event totals (cut_pivots, cut_noop_round, flip, ...) *)
-  counters : (string * int) list;
-}
-
 type t3_row = {
   point : Mm_workload.Table3.point;
   global : t3_cell;
@@ -233,16 +242,24 @@ type t3_row = {
      the full-pool cells above they form the cuts_ab record *)
   global_base : t3_cell;
   complete_base : t3_cell;
-  traced : t3_traced;
+  (* traced re-run of the serial global leg: its time with tracing
+     enabled plus the span totals and count-event totals (cut_pivots,
+     flip, ...) recovered from the trace. Paired with the untraced
+     cell it is the A/B evidence that tracing is cheap when on and free
+     when off. *)
+  traced_seconds : float;
+  phases : (string * float) list;
+  counters : (string * int) list;
 }
 
 (* Worker domains for the parallel leg of the sweep.  At least 2 so the
    work-stealing machinery is actually exercised even on one core. *)
 let bench_parallelism = max 2 (Domain.recommended_domain_count ())
 
-let failed_cell seconds =
+(* the cell of a run that ended without a mapping *)
+let no_mapping =
   {
-    seconds;
+    seconds = 0.0;
     optimal = false;
     objective = None;
     pivots = 0;
@@ -257,27 +274,50 @@ let failed_cell seconds =
     incumbent = "none";
   }
 
-let cell_of_outcome seconds (o : Mm_mapping.Mapper.outcome) =
-  let r = o.Mm_mapping.Mapper.ilp_result in
-  let mip = r.Mm_lp.Solver.mip in
-  let par = r.Mm_lp.Solver.stats.Mm_lp.Solver.parallel in
-  {
-    seconds;
-    optimal = mip.Mm_lp.Branch_bound.status = Mm_lp.Branch_bound.Optimal;
-    objective = Some o.Mm_mapping.Mapper.objective;
-    pivots = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.pivots;
-    nodes = mip.Mm_lp.Branch_bound.nodes;
-    domains = par.Mm_lp.Branch_bound.domains_used;
-    stolen = par.Mm_lp.Branch_bound.nodes_stolen;
-    idle = par.Mm_lp.Branch_bound.idle_seconds;
-    cuts_root = r.Mm_lp.Solver.stats.Mm_lp.Solver.cuts_added;
-    cuts_node = r.Mm_lp.Solver.stats.Mm_lp.Solver.node_cuts_added;
-    cuts_dropped = r.Mm_lp.Solver.stats.Mm_lp.Solver.cuts_dropped;
-    cuts_fams = r.Mm_lp.Solver.stats.Mm_lp.Solver.cuts_by_family;
-    incumbent =
-      Mm_lp.Branch_bound.incumbent_source_to_string
-        mip.Mm_lp.Branch_bound.incumbent_source;
-  }
+(* The default solver (full cut pool, diving heuristic) under the quick
+   cap; [Solver.cover_only] of it is the cuts A/B baseline. *)
+let solver_options ?parallelism () =
+  Mm_lp.Solver.options
+    ~bb:(Mm_lp.Branch_bound.options ~time_limit:(quick_cap ()) ?parallelism ())
+    ()
+
+(* One mapper run of a design point, timed by the paper's rule: the
+   complete formulation by its ILP alone, global/detailed by ILP plus
+   detailed mapping. A run that ends without a mapping (budget
+   exhausted before an incumbent) records the wall clock it burned,
+   flagged as not optimal. *)
+let measure ?trace method_ solver_options board design =
+  let options = Mm_mapping.Mapper.options ~solver_options ?trace () in
+  let t0 = Unix.gettimeofday () in
+  match Mm_mapping.Mapper.run ~method_ ~options board design with
+  | Error _ -> { no_mapping with seconds = Unix.gettimeofday () -. t0 }
+  | Ok o ->
+      let mip = o.Mm_mapping.Mapper.ilp_result.Mm_lp.Solver.mip in
+      let st = o.Mm_mapping.Mapper.ilp_result.Mm_lp.Solver.stats in
+      let par = st.Mm_lp.Solver.parallel in
+      let detailed =
+        match method_ with
+        | Mm_mapping.Mapper.Complete_flat -> 0.0
+        | Mm_mapping.Mapper.Global_detailed ->
+            o.Mm_mapping.Mapper.detailed_seconds
+      in
+      {
+        seconds = o.Mm_mapping.Mapper.ilp_seconds +. detailed;
+        optimal = mip.Mm_lp.Branch_bound.status = Mm_lp.Branch_bound.Optimal;
+        objective = Some o.Mm_mapping.Mapper.objective;
+        pivots = st.Mm_lp.Solver.lp.Mm_lp.Simplex.pivots;
+        nodes = mip.Mm_lp.Branch_bound.nodes;
+        domains = par.Mm_lp.Branch_bound.domains_used;
+        stolen = par.Mm_lp.Branch_bound.nodes_stolen;
+        idle = par.Mm_lp.Branch_bound.idle_seconds;
+        cuts_root = st.Mm_lp.Solver.cuts_added;
+        cuts_node = st.Mm_lp.Solver.node_cuts_added;
+        cuts_dropped = st.Mm_lp.Solver.cuts_dropped;
+        cuts_fams = st.Mm_lp.Solver.cuts_by_family;
+        incumbent =
+          Mm_lp.Branch_bound.incumbent_source_to_string
+            mip.Mm_lp.Branch_bound.incumbent_source;
+      }
 
 let table3_cache : t3_row list option ref = ref None
 
@@ -285,36 +325,11 @@ let measure_table3 () =
   match !table3_cache with
   | Some rows -> rows
   | None ->
-      let cap = quick_cap () in
-      let solver ?parallelism () =
-        Mm_lp.Solver.options
-          ~bb:(Mm_lp.Branch_bound.options ~time_limit:cap ?parallelism ())
-          ()
-      in
-      let mapper solver_options =
-        Mm_mapping.Mapper.options ~solver_options ()
-      in
-      let opts = mapper (solver ()) in
-      (* identical budget under the pre-pool cut configuration: knapsack
-         covers at the root only, no heuristics — the other arm of the
-         cuts_ab record (the default legs run the full pool) *)
-      let opts_base = mapper (Mm_lp.Solver.cover_only (solver ())) in
-      (* same budget, [bench_parallelism] worker domains; the serial leg
-         stays the recorded baseline *)
-      let opts_par = mapper (solver ~parallelism:bench_parallelism ()) in
-      let measure_global options board design =
-        let t0 = Unix.gettimeofday () in
-        match Mm_mapping.Mapper.run ~options board design with
-        | Ok o ->
-            cell_of_outcome
-              (o.Mm_mapping.Mapper.ilp_seconds
-              +. o.Mm_mapping.Mapper.detailed_seconds)
-              o
-        | Error _ ->
-            (* budget exhausted before an incumbent: report the
-               wall clock actually burned, flagged as capped *)
-            failed_cell (Unix.gettimeofday () -. t0)
-      in
+      let full = solver_options () in
+      let base = Mm_lp.Solver.cover_only full in
+      (* [bench_parallelism] worker domains; the serial leg stays the
+         recorded baseline *)
+      let par = solver_options ~parallelism:bench_parallelism () in
       let rows =
         List.map
           (fun (point : Mm_workload.Table3.point) ->
@@ -322,244 +337,181 @@ let measure_table3 () =
             Printf.eprintf "table3: point %d segments / %d banks...\n%!"
               spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks;
             let board, design = Mm_workload.Gen.instance spec in
-            let global = measure_global opts board design in
-            let global_par = measure_global opts_par board design in
-            (match (global.objective, global_par.objective) with
-            | Some a, Some b when Float.abs (a -. b) > 1e-6 ->
-                Printf.eprintf
-                  "table3: WARNING serial/parallel objective mismatch (%g vs %g)\n%!"
-                  a b
-            | _ -> ());
-            let measure_complete options =
-              let t0 = Unix.gettimeofday () in
-              match
-                Mm_mapping.Mapper.run ~method_:Mm_mapping.Mapper.Complete_flat
-                  ~options board design
-              with
-              | Ok o -> cell_of_outcome o.Mm_mapping.Mapper.ilp_seconds o
-              | Error _ -> failed_cell (Unix.gettimeofday () -. t0)
-            in
-            let complete = measure_complete opts in
-            let global_base = measure_global opts_base board design in
-            let complete_base = measure_complete opts_base in
+            let global_ = Mm_mapping.Mapper.Global_detailed
+            and complete_ = Mm_mapping.Mapper.Complete_flat in
+            let run ?trace m o = measure ?trace m o board design in
+            let global = run global_ full in
+            let global_par = run global_ par in
+            let complete = run complete_ full in
+            let global_base = run global_ base in
+            let complete_base = run complete_ base in
             List.iter
-              (fun (leg, full, base) ->
-                match (full, base) with
-                | Some a, Some b when Float.abs (a -. b) > 1e-6 ->
+              (fun (what, a, b) ->
+                match (a.objective, b.objective) with
+                | Some x, Some y when Float.abs (x -. y) > 1e-6 ->
                     Printf.eprintf
-                      "table3: WARNING %s full-pool/cover-only objective \
-                       mismatch (%g vs %g)\n\
-                       %!"
-                      leg a b
+                      "table3: WARNING %s objective mismatch (%g vs %g)\n%!"
+                      what x y
                 | _ -> ())
               [
-                ("global", global.objective, global_base.objective);
-                ("complete", complete.objective, complete_base.objective);
+                ("serial/parallel", global, global_par);
+                ("global full-pool/cover-only", global, global_base);
+                ("complete full-pool/cover-only", complete, complete_base);
               ];
-            let traced =
-              let tr = Mm_obs.Trace.create () in
-              let opts_tr =
-                Mm_mapping.Mapper.options ~solver_options:(solver ()) ~trace:tr
-                  ()
-              in
-              let t0 = Unix.gettimeofday () in
-              (match Mm_mapping.Mapper.run ~options:opts_tr board design with
-              | Ok _ | Error _ -> ());
-              let traced_seconds = Unix.gettimeofday () -. t0 in
-              let phases, counters =
-                match Mm_obs.Summary.of_lines (Mm_obs.Trace.dump_lines tr) with
-                | Ok events ->
-                    let totals = Hashtbl.create 8 and order = ref [] in
-                    List.iter
-                      (fun (e : Mm_obs.Summary.event) ->
-                        if e.Mm_obs.Summary.kind = "count" then begin
-                          let name = e.Mm_obs.Summary.name in
-                          if not (Hashtbl.mem totals name) then
-                            order := name :: !order;
-                          Hashtbl.replace totals name
-                            ((try Hashtbl.find totals name with Not_found -> 0)
-                            + e.Mm_obs.Summary.n)
-                        end)
-                      events;
-                    ( Mm_obs.Summary.phase_totals events,
-                      List.rev_map
-                        (fun name -> (name, Hashtbl.find totals name))
-                        !order )
-                | Error _ -> ([], [])
-              in
-              { traced_seconds; phases; counters }
+            let tr = Mm_obs.Trace.create () in
+            let traced_seconds = (run ~trace:tr global_ full).seconds in
+            let phases, counters =
+              match Mm_obs.Summary.of_lines (Mm_obs.Trace.dump_lines tr) with
+              | Ok events ->
+                  ( Mm_obs.Summary.phase_totals events,
+                    Mm_obs.Summary.counter_totals events )
+              | Error _ -> ([], [])
             in
             { point; global; global_par; complete; global_base; complete_base;
-              traced })
+              traced_seconds; phases; counters })
           Mm_workload.Table3.points
       in
       table3_cache := Some rows;
       rows
 
-(* Complete-flat ILP times of the dense-basis-inverse simplex this
-   engine replaced (measured on this machine, 60 s cap, at the commit
-   before the sparse LU core landed).  Kept as the reference point for
-   the speedup record in BENCH_lp.json: the dense engine proved points
-   0-6 only, found a non-optimal incumbent on point 7 and nothing at
-   all on point 8. *)
-let dense_baseline =
-  [
-    (0.112, true, Some 302649.0);
-    (9.588, true, Some 458822.0);
-    (9.874, true, Some 297826.0);
-    (30.318, true, Some 810398.0);
-    (5.530, true, Some 678153.0);
-    (39.612, true, Some 752585.0);
-    (10.583, true, Some 78985.0);
-    (60.075, false, Some 568148.0);
-    (61.433, false, None);
-  ]
+let cell_json c =
+  J.Obj
+    [
+      ("seconds", J.Num c.seconds);
+      ("optimal", J.Bool c.optimal);
+      ("objective", opt_num c.objective);
+      ("pivots", int c.pivots);
+      ("nodes", int c.nodes);
+      ("domains", int c.domains);
+      ("nodes_stolen", int c.stolen);
+      ("idle_seconds", J.Num c.idle);
+      ( "cuts",
+        J.Obj
+          [
+            ("root", int c.cuts_root);
+            ("node", int c.cuts_node);
+            ("dropped", int c.cuts_dropped);
+            ( "by_family",
+              J.Obj (List.map (fun (f, n) -> (f, int n)) c.cuts_fams) );
+          ] );
+      ("incumbent_source", J.Str c.incumbent);
+    ]
+
+(* Percent fewer nodes under the full pool than under the cover-only
+   baseline; [None] unless both arms proved optimality at one
+   objective. *)
+let node_reduction ~baseline ~full =
+  if
+    baseline.optimal && full.optimal && baseline.nodes > 0
+    && same_objective baseline.objective full.objective
+  then
+    Some
+      (100.0
+      *. float_of_int (baseline.nodes - full.nodes)
+      /. float_of_int baseline.nodes)
+  else None
 
 (* Cut-subsystem A/B record for one formulation: the root-cover-only
    configuration (Solver.cover_only, the pre-pool behavior) against
    the full pool — lifted covers, GMI, aging, node separation and the
-   GUB diving heuristic.  The headline node reduction is null unless
-   both arms proved optimality with matching objectives. *)
+   GUB diving heuristic. *)
 let cuts_pair ~baseline ~full =
-  let num v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let opt_num = function Some v -> num v | None -> "null" in
-  let leg c =
-    let fams =
-      String.concat ", "
-        (List.map
-           (fun (fam, n) -> Printf.sprintf "\"%s\": %d" fam n)
-           c.cuts_fams)
-    in
-    Printf.sprintf
-      "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s, \"pivots\": %d, \
-       \"nodes\": %d, \"cuts\": { \"root\": %d, \"node\": %d, \"dropped\": %d, \
-       \"by_family\": { %s } }, \"incumbent_source\": \"%s\" }"
-      (num c.seconds) c.optimal (opt_num c.objective) c.pivots c.nodes
-      c.cuts_root c.cuts_node c.cuts_dropped fams c.incumbent
-  in
-  let reduction =
-    match (baseline.objective, full.objective) with
-    | Some a, Some b
-      when baseline.optimal && full.optimal
-           && Float.abs (a -. b) <= 1e-6
-           && baseline.nodes > 0 ->
-        Printf.sprintf "%.2f"
-          (100.0
-          *. float_of_int (baseline.nodes - full.nodes)
-          /. float_of_int baseline.nodes)
-    | _ -> "null"
-  in
-  Printf.sprintf
-    "{ \"cover_only\": %s, \"full_pool\": %s, \"node_reduction_pct\": %s }"
-    (leg baseline) (leg full) reduction
+  J.Obj
+    [
+      ("cover_only", cell_json baseline);
+      ("full_pool", cell_json full);
+      ("node_reduction_pct", opt_num (node_reduction ~baseline ~full));
+    ]
 
-(* Machine-readable record of the Table-3 sweep: per design point, wall
-   time, status, objective, simplex pivots and branch-and-bound nodes for
-   both engines.  NaN times (failed runs) become JSON null. *)
-let write_bench_json rows =
-  let buf = Buffer.create 4096 in
-  let num v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let opt_num = function Some v -> num v | None -> "null" in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"benchmark\": \"table3 complete vs global/detailed\",\n");
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mode\": \"%s\",\n" (if !full_mode then "full" else "quick"));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" (quick_cap ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"parallelism\": %d,\n" bench_parallelism);
-  Buffer.add_string buf "  \"points\": [\n";
-  List.iteri
-    (fun i r ->
-      let spec = r.point.Mm_workload.Table3.spec in
-      let cell c =
-        Printf.sprintf
-          "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s, \"pivots\": %d, \"nodes\": %d }"
-          (num c.seconds) c.optimal (opt_num c.objective) c.pivots c.nodes
-      in
-      let par_cell c =
-        Printf.sprintf
-          "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s, \"pivots\": %d, \
-           \"nodes\": %d, \"domains\": %d, \"nodes_stolen\": %d, \"idle_seconds\": %s }"
-          (num c.seconds) c.optimal (opt_num c.objective) c.pivots c.nodes
-          c.domains c.stolen (num c.idle)
-      in
-      let dense =
-        match List.nth_opt dense_baseline i with
-        | Some (seconds, optimal, objective) ->
-            Printf.sprintf
-              "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s }"
-              (num seconds) optimal (opt_num objective)
-        | None -> "null"
-      in
-      let traced =
-        let phases =
-          String.concat ", "
-            (List.map
-               (fun (name, s) -> Printf.sprintf "\"%s\": %.6f" name s)
-               r.traced.phases)
-        in
-        let counters =
-          String.concat ", "
-            (List.map
-               (fun (name, n) -> Printf.sprintf "\"%s\": %d" name n)
-               r.traced.counters)
-        in
-        Printf.sprintf
-          "{ \"seconds\": %s, \"phases\": { %s }, \"counters\": { %s } }"
-          (num r.traced.traced_seconds) phases counters
-      in
-      let cuts_ab =
-        Printf.sprintf
-          "{ \"complete\": %s, \"global\": %s }"
-          (cuts_pair ~baseline:r.complete_base ~full:r.complete)
-          (cuts_pair ~baseline:r.global_base ~full:r.global)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"segments\": %d, \"banks\": %d, \"ports\": %d, \"configs\": %d,\n\
-           \      \"complete\": %s,\n\
-           \      \"global\": %s,\n\
-           \      \"global_parallel\": %s,\n\
-           \      \"global_traced\": %s,\n\
-           \      \"cuts_ab\": %s,\n\
-           \      \"complete_dense_baseline_60s\": %s }%s\n"
-           spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks
-           spec.Mm_workload.Gen.ports spec.Mm_workload.Gen.configs
-           (cell r.complete) (cell r.global) (par_cell r.global_par) traced
-           cuts_ab dense
-           (if i < List.length rows - 1 then "," else ""))
-    )
-    rows;
-  Buffer.add_string buf "  ],\n";
-  (* A/B overhead cell: the untraced leg runs with tracing disabled (the
-     no-op sink), the traced leg with a live trace; their totals bound
-     the cost of both paths. *)
-  let untraced_total =
-    List.fold_left
-      (fun acc r ->
-        if Float.is_nan r.global.seconds then acc else acc +. r.global.seconds)
-      0.0 rows
-  and traced_total =
-    List.fold_left (fun acc r -> acc +. r.traced.traced_seconds) 0.0 rows
+(* Machine-readable record of the Table-3 sweep: per design point, both
+   engines' cells, the parallel and traced global legs and the cuts
+   A/B; then the trace A/B over the whole sweep. *)
+let table3_record rows =
+  let total f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
+  let untraced = total (fun r -> r.global.seconds)
+  and traced = total (fun r -> r.traced_seconds) in
+  let point r =
+    let traced =
+      J.Obj
+        [
+          ("seconds", J.Num r.traced_seconds);
+          ("phases", J.Obj (List.map (fun (n, s) -> (n, J.Num s)) r.phases));
+          ("counters", J.Obj (List.map (fun (n, k) -> (n, int k)) r.counters));
+        ]
+    in
+    J.Obj
+      (spec_fields r.point.Mm_workload.Table3.spec
+      @ [
+          ("complete", cell_json r.complete);
+          ("global", cell_json r.global);
+          ("global_parallel", cell_json r.global_par);
+          ("global_traced", traced);
+          ( "cuts_ab",
+            J.Obj
+              [
+                ( "complete",
+                  cuts_pair ~baseline:r.complete_base ~full:r.complete );
+                ("global", cuts_pair ~baseline:r.global_base ~full:r.global);
+              ] );
+        ])
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"trace_ab\": { \"untraced_global_seconds\": %s, \
-        \"traced_global_seconds\": %s, \"overhead_pct\": %s }\n"
-       (num untraced_total) (num traced_total)
-       (if untraced_total > 0.0 then
-          Printf.sprintf "%.2f"
-            (100.0 *. (traced_total -. untraced_total) /. untraced_total)
-        else "null"));
-  Buffer.add_string buf "}\n";
-  write_bench_lp (Printf.sprintf "%d points" (List.length rows)) buf
+  (* the untraced leg runs with tracing disabled (the no-op sink), the
+     traced leg with a live trace; their totals bound the cost of both
+     paths (a zero untraced total renders the percentage as null) *)
+  J.Obj
+    (record_head "table3 complete vs global/detailed"
+    @ [
+        ("mode", J.Str (if !full_mode then "full" else "quick"));
+        ("parallelism", int bench_parallelism);
+        ("points", J.List (List.map point rows));
+        ( "trace_ab",
+          J.Obj
+            [
+              ("untraced_global_seconds", J.Num untraced);
+              ("traced_global_seconds", J.Num traced);
+              ( "overhead_pct",
+                J.Num (100.0 *. (traced -. untraced) /. untraced) );
+            ] );
+      ])
 
 let fmt_time seconds optimal =
-  if Float.is_nan seconds then "failed"
-  else if optimal then Printf.sprintf "%.2f" seconds
+  if optimal then Printf.sprintf "%.2f" seconds
   else Printf.sprintf "%.2f*" seconds
+
+(* One row per cuts A/B pair [(label, cover_only, full_pool)]; the
+   objective column is the full pool's. *)
+let print_cuts_ab label pairs =
+  let t =
+    Table.create
+      [
+        (label, Table.Left);
+        ("cover-only nodes", Table.Right);
+        ("full-pool nodes", Table.Right);
+        ("reduction", Table.Right);
+        ("cuts (root/node/drop)", Table.Right);
+        ("incumbent", Table.Left);
+        ("objective", Table.Right);
+      ]
+  in
+  List.iter
+    (fun (name, base, full) ->
+      Table.add_row t
+        [
+          name;
+          string_of_int base.nodes;
+          string_of_int full.nodes;
+          (match node_reduction ~baseline:base ~full with
+          | Some pct -> Printf.sprintf "%.0f%%" pct
+          | None -> "-");
+          Printf.sprintf "%d/%d/%d" full.cuts_root full.cuts_node
+            full.cuts_dropped;
+          full.incumbent;
+          (match full.objective with
+          | Some o -> Printf.sprintf "%.0f" o
+          | None -> "-");
+        ])
+    pairs;
+  Table.print t
 
 let run_table3 () =
   header "Table 3: ILP execution times, complete vs global/detailed";
@@ -597,9 +549,8 @@ let run_table3 () =
           fmt_time r.complete.seconds r.complete.optimal;
           fmt_time r.global.seconds r.global.optimal;
           fmt_time r.global_par.seconds r.global_par.optimal;
-          (if Float.is_nan r.complete.seconds || Float.is_nan r.global.seconds
-           then "-"
-           else Printf.sprintf "%.1fx" (r.complete.seconds /. Float.max r.global.seconds 1e-6));
+          Printf.sprintf "%.1fx"
+            (r.complete.seconds /. Float.max r.global.seconds 1e-6);
           Printf.sprintf "%.1f" pc;
           Printf.sprintf "%.1f" pg;
           Printf.sprintf "%.1fx" (pc /. pg);
@@ -609,42 +560,14 @@ let run_table3 () =
   line "";
   line "Cuts A/B, complete formulation (cover-only root vs full pool +";
   line "node cuts + GUB diving; same budget, serial):";
-  let ct =
-    Table.create
-      [
-        ("#segs", Table.Right);
-        ("cover-only nodes", Table.Right);
-        ("full-pool nodes", Table.Right);
-        ("reduction", Table.Right);
-        ("cuts (root/node/drop)", Table.Right);
-        ("incumbent", Table.Left);
-      ]
-  in
-  List.iter
-    (fun r ->
-      let base = r.complete_base and full = r.complete in
-      let reduction =
-        if base.optimal && full.optimal && base.nodes > 0 then
-          Printf.sprintf "%.0f%%"
-            (100.0
-            *. float_of_int (base.nodes - full.nodes)
-            /. float_of_int base.nodes)
-        else "-"
-      in
-      Table.add_row ct
-        [
-          string_of_int r.point.Mm_workload.Table3.spec.Mm_workload.Gen.segments;
-          string_of_int base.nodes;
-          string_of_int full.nodes;
-          reduction;
-          Printf.sprintf "%d/%d/%d" full.cuts_root full.cuts_node
-            full.cuts_dropped;
-          full.incumbent;
-        ])
-    rows;
-  Table.print ct;
+  print_cuts_ab "#segs"
+    (List.map
+       (fun r ->
+         let segs = r.point.Mm_workload.Table3.spec.Mm_workload.Gen.segments in
+         (string_of_int segs, r.complete_base, r.complete))
+       rows);
   line "";
-  write_bench_json rows
+  (table3_record rows, [])
 
 let run_fig4 () =
   header "Fig. 4: complete versus global/detailed execution times";
@@ -653,9 +576,7 @@ let run_fig4 () =
     {
       Ascii_plot.label;
       glyph;
-      points =
-        List.filteri (fun _ r -> not (Float.is_nan (f r))) rows
-        |> List.mapi (fun i r -> (float_of_int i, f r));
+      points = List.mapi (fun i r -> (float_of_int i, f r)) rows;
     }
   in
   print_string
@@ -1056,256 +977,181 @@ let run_ablation_arbitration () =
 (* ------------------------------------------------------------------ *)
 
 (* The smallest Table-3 point under the full cut pool + GUB diving
-   heuristic versus the root-cover-only baseline, recorded as a minimal
-   BENCH_lp.json. Exits nonzero when the two configurations prove
-   different objectives — the CI guard for cut validity (an invalid cut
-   shows up as a changed optimum). Not part of the default experiment
-   set (it would overwrite the full sweep's BENCH_lp.json); run it by
-   name. *)
+   heuristic versus the root-cover-only baseline. Gate: the two
+   configurations must prove the same objectives — the CI guard for
+   cut validity (an invalid cut shows up as a changed optimum). *)
 let run_cuts_smoke () =
   header "Cuts smoke: Table-3 point 0, cover-only baseline vs full pool";
-  let point = List.hd Mm_workload.Table3.points in
-  let spec = point.Mm_workload.Table3.spec in
+  let spec = (List.hd Mm_workload.Table3.points).Mm_workload.Table3.spec in
   let board, design = Mm_workload.Gen.instance spec in
-  let cap = quick_cap () in
-  let measure method_ solver_options =
-    let opts = Mm_mapping.Mapper.options ~solver_options () in
-    let t0 = Unix.gettimeofday () in
-    match Mm_mapping.Mapper.run ~method_ ~options:opts board design with
-    | Ok o ->
-        cell_of_outcome
-          (o.Mm_mapping.Mapper.ilp_seconds
-          +. o.Mm_mapping.Mapper.detailed_seconds)
-          o
-    | Error _ -> failed_cell (Unix.gettimeofday () -. t0)
-  in
-  let full =
-    Mm_lp.Solver.options ~bb:(Mm_lp.Branch_bound.options ~time_limit:cap ()) ()
-  in
+  let full = solver_options () in
   let results =
     List.map
       (fun (name, m) ->
-        (name, measure m (Mm_lp.Solver.cover_only full), measure m full))
+        ( name,
+          measure m (Mm_lp.Solver.cover_only full) board design,
+          measure m full board design ))
       [
         ("global", Mm_mapping.Mapper.Global_detailed);
         ("complete", Mm_mapping.Mapper.Complete_flat);
       ]
   in
-  let t =
-    Table.create
-      [
-        ("formulation", Table.Left);
-        ("cuts", Table.Left);
-        ("time (s)", Table.Right);
-        ("nodes", Table.Right);
-        ("cuts (root/node/drop)", Table.Right);
-        ("incumbent", Table.Left);
-        ("objective", Table.Right);
-      ]
-  in
-  List.iter
-    (fun (name, base, full) ->
-      List.iter
-        (fun (cn, (c : t3_cell)) ->
-          Table.add_row t
-            [
-              name;
-              cn;
-              fmt_time c.seconds c.optimal;
-              string_of_int c.nodes;
-              Printf.sprintf "%d/%d/%d" c.cuts_root c.cuts_node c.cuts_dropped;
-              c.incumbent;
-              (match c.objective with
-              | Some o -> Printf.sprintf "%.0f" o
-              | None -> "-");
-            ])
-        [ ("cover-only", base); ("full pool", full) ])
-    results;
-  Table.print t;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"cuts smoke (table3 point 0)\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" cap);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"segments\": %d, \"banks\": %d, \"ports\": %d, \"configs\": %d,\n"
-       spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks
-       spec.Mm_workload.Gen.ports spec.Mm_workload.Gen.configs);
-  Buffer.add_string buf "  \"cuts_ab\": {\n";
-  List.iteri
-    (fun i (name, base, full) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %s%s\n" name
-           (cuts_pair ~baseline:base ~full)
-           (if i < List.length results - 1 then "," else "")))
-    results;
-  Buffer.add_string buf "  }\n}\n";
-  write_bench_lp "cuts smoke" buf;
-  let mismatched =
-    List.filter
-      (fun ((_, base, full) : string * t3_cell * t3_cell) ->
-        match (base.objective, full.objective) with
-        | Some a, Some b -> Float.abs (a -. b) > 1e-6
-        | _ -> true)
+  print_cuts_ab "formulation" results;
+  let failures =
+    List.filter_map
+      (fun (name, (base : t3_cell), (full : t3_cell)) ->
+        if same_objective base.objective full.objective then None
+        else
+          Some
+            (Printf.sprintf
+               "%s objective mismatch: cover-only %s vs full pool %s" name
+               (objective_string base.objective)
+               (objective_string full.objective)))
       results
   in
-  if mismatched <> [] then begin
-    List.iter
-      (fun ((name, base, full) : string * t3_cell * t3_cell) ->
-        let obj = function
-          | Some o -> Printf.sprintf "%g" o
-          | None -> "none"
-        in
-        Printf.eprintf
-          "cuts-smoke: %s objective mismatch: cover-only %s vs full pool %s\n"
-          name (obj base.objective) (obj full.objective))
-      mismatched;
-    exit 1
-  end
-  else line "cover-only and full-pool configurations agree on every objective."
+  if failures = [] then
+    line "cover-only and full-pool configurations agree on every objective.";
+  ( J.Obj
+      (record_head "cuts smoke (table3 point 0)"
+      @ spec_fields spec
+      @ [
+          ( "cuts_ab",
+            J.Obj
+              (List.map
+                 (fun (name, baseline, full) ->
+                   (name, cuts_pair ~baseline ~full))
+                 results) );
+        ]),
+    failures )
 
 (* ------------------------------------------------------------------ *)
 (* Serve smoke (CI leg)                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* one request of the serve smoke: its index, wall seconds, cache
+   verdict, the cache entry's warm-solve count, objective and pivots *)
+type shot = {
+  request : int;
+  wall : float;
+  hit : bool;
+  solves : int;
+  obj : float option;
+  piv : int;
+}
+
+let shot_json s =
+  J.Obj
+    [
+      ("cache_hit", J.Bool s.hit);
+      ("warm_solves", int s.solves);
+      ("seconds", J.Num s.wall);
+      ("pivots", int s.piv);
+      ("objective", opt_num s.obj);
+    ]
+
 (* The mapping service's warm-start A/B: repeat the smallest Table-3
    point through [Mm_service.Engine] — the exact path [mmap serve]
    workers run — and compare the cold first solve against the
-   cache-warmed repeats. Recorded as the serve_warm_ab cell of a
-   minimal BENCH_lp.json. Exits nonzero when a repeat misses the cache
-   or warm and cold objectives disagree (a warm start must accelerate
-   the search, never change the optimum). *)
+   cache-warmed repeats; the record keeps every request and the
+   repeats' mean pivot reduction against the cold one. Gate: every
+   repeat must hit the cache at the cold objective (a warm start must
+   accelerate the search, never change the optimum). *)
 let run_serve_smoke () =
   header "Serve smoke: warm-vs-cold through the service engine";
-  let point = List.hd Mm_workload.Table3.points in
-  let spec = point.Mm_workload.Table3.spec in
+  let spec = (List.hd Mm_workload.Table3.points).Mm_workload.Table3.spec in
   let board, design = Mm_workload.Gen.instance spec in
-  let cap = quick_cap () in
-  let knobs = Mm_service.Knobs.make ~time_limit:cap () in
+  let knobs = Mm_service.Knobs.make ~time_limit:(quick_cap ()) () in
   let engine = Mm_service.Engine.create () in
   let req = Mm_service.Request.make ~id:"bench" ~knobs board design in
-  let repeats = 4 in
-  let shots =
-    List.init repeats (fun i ->
+  let shots, errors =
+    List.partition_map
+      (fun request ->
         let t0 = Unix.gettimeofday () in
         match Mm_service.Engine.handle engine req with
         | Mm_service.Request.Ok_response { cache_hit; warm_solves; report; _ }
           ->
-            let seconds = Unix.gettimeofday () -. t0 in
-            let num path obj =
-              Option.bind (Mm_obs.Json.member path obj) Mm_obs.Json.to_float
-            in
-            let objective = num "objective" report in
-            let pivots =
-              match Option.bind (Mm_obs.Json.member "lp" report) (num "pivots")
-              with
-              | Some p -> int_of_float p
-              | None -> 0
-            in
-            (i, seconds, cache_hit, warm_solves, objective, pivots)
+            let wall = Unix.gettimeofday () -. t0 in
+            let num path obj = Option.bind (J.member path obj) J.to_float in
+            let piv = Option.bind (J.member "lp" report) (num "pivots") in
+            Either.Left
+              { request; wall; hit = cache_hit; solves = warm_solves;
+                obj = num "objective" report;
+                piv = Option.fold ~none:0 ~some:int_of_float piv }
         | Mm_service.Request.Error_response { message; _ } ->
-            Printf.eprintf "serve-smoke: request %d failed: %s\n" i message;
-            exit 1)
+            Either.Right
+              (Printf.sprintf "request %d failed: %s" request message))
+      (List.init 4 Fun.id)
   in
-  let t =
-    Table.create
-      [
-        ("request", Table.Right);
-        ("cache", Table.Left);
-        ("warm solves", Table.Right);
-        ("time (s)", Table.Right);
-        ("pivots", Table.Right);
-        ("objective", Table.Right);
-      ]
-  in
-  List.iter
-    (fun (i, seconds, hit, solves, objective, pivots) ->
-      Table.add_row t
-        [
-          string_of_int i;
-          (if hit then "hit" else "miss");
-          string_of_int solves;
-          Printf.sprintf "%.3f" seconds;
-          string_of_int pivots;
-          (match objective with
-          | Some o -> Printf.sprintf "%.0f" o
-          | None -> "-");
-        ])
-    shots;
-  Table.print t;
-  let cold = List.hd shots in
-  let warm = List.filteri (fun i _ -> i > 0) shots in
-  let mean f xs =
-    List.fold_left (fun a x -> a +. f x) 0.0 xs /. float_of_int (List.length xs)
-  in
-  let sec (_, s, _, _, _, _) = s in
-  let piv (_, _, _, _, _, p) = float_of_int p in
-  let obj (_, _, _, _, o, _) = o in
-  let _, cold_s, _, _, cold_obj, cold_piv = cold in
-  let warm_s = mean sec warm in
-  let warm_piv = mean piv warm in
-  let reduction =
-    if cold_piv > 0 then
-      100.0 *. (float_of_int cold_piv -. warm_piv) /. float_of_int cold_piv
-    else 0.0
-  in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "{\n  \"benchmark\": \"serve smoke (table3 point 0)\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" cap);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"segments\": %d, \"banks\": %d, \"ports\": %d, \"configs\": %d,\n"
-       spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks
-       spec.Mm_workload.Gen.ports spec.Mm_workload.Gen.configs);
-  let opt_num = function
-    | Some v -> Printf.sprintf "%.3f" v
-    | None -> "null"
-  in
-  Buffer.add_string buf "  \"serve_warm_ab\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"cold\": { \"seconds\": %.3f, \"pivots\": %d, \"objective\": %s \
-        },\n"
-       cold_s cold_piv (opt_num cold_obj));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"warm\": { \"repeats\": %d, \"mean_seconds\": %.3f, \
-        \"mean_pivots\": %.1f, \"objective\": %s },\n"
-       (List.length warm) warm_s warm_piv
-       (opt_num (obj (List.hd warm))));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"pivot_reduction_percent\": %.2f\n" reduction);
-  Buffer.add_string buf "  }\n}\n";
-  write_bench_lp "serve smoke" buf;
-  let misses =
-    List.filter (fun (i, _, hit, _, _, _) -> i > 0 && not hit) shots
-  in
-  let mismatched =
-    List.filter
-      (fun shot ->
-        match (cold_obj, obj shot) with
-        | Some a, Some b -> Float.abs (a -. b) > 1e-6
-        | _ -> true)
-      warm
-  in
-  if misses <> [] then begin
-    List.iter
-      (fun (i, _, _, _, _, _) ->
-        Printf.eprintf "serve-smoke: repeat request %d missed the warm cache\n"
-          i)
-      misses;
-    exit 1
-  end;
-  if mismatched <> [] then begin
-    List.iter
-      (fun shot ->
-        Printf.eprintf "serve-smoke: warm objective %s differs from cold %s\n"
-          (opt_num (obj shot)) (opt_num cold_obj))
-      mismatched;
-    exit 1
-  end;
-  line "every repeat hit the warm cache at the cold objective (pivots %.2f%%)."
-    reduction
+  match shots with
+  | cold :: (_ :: _ as warm) when errors = [] ->
+      let t =
+        Table.create
+          [
+            ("request", Table.Right);
+            ("cache", Table.Left);
+            ("warm solves", Table.Right);
+            ("time (s)", Table.Right);
+            ("pivots", Table.Right);
+            ("objective", Table.Right);
+          ]
+      in
+      List.iter
+        (fun s ->
+          Table.add_row t
+            [
+              string_of_int s.request;
+              (if s.hit then "hit" else "miss");
+              string_of_int s.solves;
+              Printf.sprintf "%.3f" s.wall;
+              string_of_int s.piv;
+              (match s.obj with
+              | Some o -> Printf.sprintf "%.0f" o
+              | None -> "-");
+            ])
+        shots;
+      Table.print t;
+      let warm_piv =
+        float_of_int (List.fold_left (fun a s -> a + s.piv) 0 warm)
+        /. float_of_int (List.length warm)
+      in
+      let reduction =
+        if cold.piv > 0 then
+          100.0 *. (float_of_int cold.piv -. warm_piv) /. float_of_int cold.piv
+        else 0.0
+      in
+      let failures =
+        List.concat_map
+          (fun s ->
+            (if s.hit then []
+             else [ Printf.sprintf "repeat request %d missed the warm cache"
+                      s.request ])
+            @
+            if same_objective cold.obj s.obj then []
+            else
+              [
+                Printf.sprintf "warm objective %s differs from cold %s"
+                  (objective_string s.obj) (objective_string cold.obj);
+              ])
+          warm
+      in
+      if failures = [] then
+        line
+          "every repeat hit the warm cache at the cold objective (pivots \
+           %.2f%%)."
+          reduction;
+      ( J.Obj
+          (record_head "serve smoke (table3 point 0)"
+          @ spec_fields spec
+          @ [
+              ( "serve_warm_ab",
+                J.Obj
+                  [
+                    ("requests", J.List (List.map shot_json shots));
+                    ("pivot_reduction_percent", J.Num reduction);
+                  ] );
+            ]),
+        failures )
+  | _ -> (J.Null, errors)
 
 (* ------------------------------------------------------------------ *)
 (* Scaling (CI leg)                                                    *)
@@ -1315,12 +1161,12 @@ let run_serve_smoke () =
    envelope (132 segments / 180 banks / 265 ports / 375 configs at its
    largest): each [Gen.scale_tier] instance is generated, frozen into
    the global ILP and solved under a per-tier wall-clock cap, and the
-   resulting nodes/pivots/seconds curve is recorded as the scaling cell
-   of a minimal BENCH_lp.json. Run-by-name (CI's scaling leg).
+   resulting nodes/pivots/seconds curve is the scaling record (CI's
+   scaling leg).
 
-   Regression thresholds, all deliberately loose — they catch
-   complexity-class regressions (an accidentally quadratic generator,
-   a simplex that stops making progress), not machine noise:
+   Gates, all deliberately loose — they catch complexity-class
+   regressions (an accidentally quadratic generator, a simplex that
+   stops making progress), not machine noise:
    - generating + building a tier's model must fit its model budget;
    - every capped solve must make branching progress (the root
      relaxation finished and the tree search processed nodes; proving
@@ -1329,47 +1175,31 @@ let run_serve_smoke () =
      floor. *)
 let run_scaling () =
   header "Scaling: generator + LP core beyond the Table-3 envelope";
-  let cap = quick_cap () in
   let tiers =
     if !full_mode then Mm_workload.Gen.scale_tiers
     else List.filteri (fun i _ -> i < 3) Mm_workload.Gen.scale_tiers
   in
-  let shots =
-    List.map
+  let options = solver_options ~parallelism:bench_parallelism () in
+  let shots, build_failures =
+    List.partition_map
       (fun (tier : Mm_workload.Gen.tier) ->
         let t0 = Unix.gettimeofday () in
         let board, design = Mm_workload.Gen.tier_instance tier in
         match Mm_mapping.Global_ilp.build board design with
         | Error e ->
-            Printf.eprintf "scaling: %s failed to build: %s\n"
-              tier.Mm_workload.Gen.tier_name e;
-            exit 1
+            Either.Right
+              (Printf.sprintf "%s failed to build: %s"
+                 tier.Mm_workload.Gen.tier_name e)
         | Ok b ->
             let p = b.Mm_mapping.Global_ilp.problem in
             let model_seconds = Unix.gettimeofday () -. t0 in
-            let options =
-              Mm_lp.Solver.options
-                ~bb:
-                  (Mm_lp.Branch_bound.options ~time_limit:cap
-                     ~parallelism:bench_parallelism ())
-                ()
-            in
-            let r = Mm_lp.Solver.solve ~options p in
-            (tier, p, model_seconds, r, r.Mm_lp.Solver.mip))
+            Either.Left (tier, p, model_seconds, Mm_lp.Solver.solve ~options p))
       tiers
   in
   let pivots_per_second (r : Mm_lp.Solver.result) =
     let lp_time = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp_time in
     let pivots = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.pivots in
     if lp_time > 0.0 then float_of_int pivots /. lp_time else 0.0
-  in
-  let status_name (mip : Mm_lp.Branch_bound.result) =
-    match mip.Mm_lp.Branch_bound.status with
-    | Mm_lp.Branch_bound.Optimal -> "optimal"
-    | Mm_lp.Branch_bound.Feasible -> "feasible"
-    | Mm_lp.Branch_bound.Infeasible -> "infeasible"
-    | Mm_lp.Branch_bound.Unbounded -> "unbounded"
-    | Mm_lp.Branch_bound.Unknown -> "unknown"
   in
   let t =
     Table.create
@@ -1388,7 +1218,8 @@ let run_scaling () =
       ]
   in
   List.iter
-    (fun ((tier : Mm_workload.Gen.tier), p, model_seconds, r, mip) ->
+    (fun ((tier : Mm_workload.Gen.tier), p, model_seconds, r) ->
+      let mip = r.Mm_lp.Solver.mip in
       Table.add_row t
         [
           tier.Mm_workload.Gen.tier_name;
@@ -1401,7 +1232,7 @@ let run_scaling () =
           string_of_int mip.Mm_lp.Branch_bound.nodes;
           string_of_int r.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.pivots;
           Printf.sprintf "%.0f" (pivots_per_second r);
-          status_name mip;
+          Mm_lp.Branch_bound.status_to_string mip.Mm_lp.Branch_bound.status;
         ])
     shots;
   Table.print t;
@@ -1413,69 +1244,58 @@ let run_scaling () =
      complexity class. *)
   let model_budget = if !full_mode then 120.0 else 30.0 in
   let throughput_floor = 250.0 in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"scaling (Gen.scale_tiers)\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" cap);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"parallelism\": %d,\n" bench_parallelism);
-  Buffer.add_string buf "  \"scaling\": [\n";
-  List.iteri
-    (fun i ((tier : Mm_workload.Gen.tier), p, model_seconds, r, mip) ->
-      let spec = tier.Mm_workload.Gen.spec in
-      let lp = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp in
-      Buffer.add_string buf
+  let gate ((tier : Mm_workload.Gen.tier), _, model_seconds, r) =
+    let mip = r.Mm_lp.Solver.mip in
+    let fail cond msg =
+      if cond then [ tier.Mm_workload.Gen.tier_name ^ ": " ^ msg ] else []
+    in
+    fail (model_seconds > model_budget)
+      (Printf.sprintf "model construction took %.1fs (budget %.0fs)"
+         model_seconds model_budget)
+    @ fail
+        (mip.Mm_lp.Branch_bound.status = Mm_lp.Branch_bound.Unknown
+        && mip.Mm_lp.Branch_bound.nodes <= 1)
         (Printf.sprintf
-           "    { \"tier\": %S, \"segments\": %d, \"banks\": %d, \"ports\": \
-            %d, \"configs\": %d, \"vars\": %d, \"rows\": %d, \
-            \"model_seconds\": %.3f, \"solve_seconds\": %.3f, \"nodes\": %d, \
-            \"pivots\": %d, \"pivots_per_second\": %.1f, \"lu_solves\": \
-            %d, \"status\": %S }%s\n"
-           tier.Mm_workload.Gen.tier_name spec.Mm_workload.Gen.segments
-           spec.Mm_workload.Gen.banks spec.Mm_workload.Gen.ports
-           spec.Mm_workload.Gen.configs p.Mm_lp.Problem.ncols
-           p.Mm_lp.Problem.nrows model_seconds mip.Mm_lp.Branch_bound.time
-           mip.Mm_lp.Branch_bound.nodes lp.Mm_lp.Simplex.pivots
-           (pivots_per_second r) lp.Mm_lp.Simplex.dense_fallbacks
-           (status_name mip)
-           (if i = List.length shots - 1 then "" else ",")))
-    shots;
-  Buffer.add_string buf "  ]\n}\n";
-  write_bench_lp (Printf.sprintf "scaling, %d tiers" (List.length shots)) buf;
-  let failures = ref [] in
-  List.iter
-    (fun ((tier : Mm_workload.Gen.tier), _, model_seconds, r, mip) ->
-      let name = tier.Mm_workload.Gen.tier_name in
-      if model_seconds > model_budget then
-        failures :=
-          Printf.sprintf "%s: model construction took %.1fs (budget %.0fs)"
-            name model_seconds model_budget
-          :: !failures;
-      if
-        mip.Mm_lp.Branch_bound.status = Mm_lp.Branch_bound.Unknown
-        && mip.Mm_lp.Branch_bound.nodes <= 1
-      then
-        failures :=
-          Printf.sprintf
-            "%s: no branching progress within the %.0fs cap (root \
-             relaxation stalled)"
-            name cap
-          :: !failures;
-      let lp_time = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp_time in
-      let pivots = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.pivots in
-      if lp_time > 1.0 && float_of_int pivots /. lp_time < throughput_floor
-      then
-        failures :=
-          Printf.sprintf "%s: simplex throughput %.0f pivots/s (floor %.0f)"
-            name
-            (float_of_int pivots /. lp_time)
-            throughput_floor
-          :: !failures)
-    shots;
-  (match !failures with
-  | [] -> line "all %d tiers within regression thresholds." (List.length shots)
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "scaling: %s\n" f) (List.rev fs);
-      exit 1)
+           "no branching progress within the %.0fs cap (root relaxation \
+            stalled)"
+           (quick_cap ()))
+    @ fail
+        (r.Mm_lp.Solver.stats.Mm_lp.Solver.lp_time > 1.0
+        && pivots_per_second r < throughput_floor)
+        (Printf.sprintf "simplex throughput %.0f pivots/s (floor %.0f)"
+           (pivots_per_second r) throughput_floor)
+  in
+  let failures = build_failures @ List.concat_map gate shots in
+  if failures = [] then
+    line "all %d tiers within regression thresholds." (List.length shots);
+  let tier_json ((tier : Mm_workload.Gen.tier), p, model_seconds, r) =
+    let mip = r.Mm_lp.Solver.mip in
+    let lp = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp in
+    J.Obj
+      ((("tier", J.Str tier.Mm_workload.Gen.tier_name)
+       :: spec_fields tier.Mm_workload.Gen.spec)
+      @ [
+          ("vars", int p.Mm_lp.Problem.ncols);
+          ("rows", int p.Mm_lp.Problem.nrows);
+          ("model_seconds", J.Num model_seconds);
+          ("solve_seconds", J.Num mip.Mm_lp.Branch_bound.time);
+          ("nodes", int mip.Mm_lp.Branch_bound.nodes);
+          ("pivots", int lp.Mm_lp.Simplex.pivots);
+          ("pivots_per_second", J.Num (pivots_per_second r));
+          ("lu_solves", int lp.Mm_lp.Simplex.dense_fallbacks);
+          ( "status",
+            J.Str
+              (Mm_lp.Branch_bound.status_to_string
+                 mip.Mm_lp.Branch_bound.status) );
+        ])
+  in
+  ( J.Obj
+      (record_head "scaling (Gen.scale_tiers)"
+      @ [
+          ("parallelism", int bench_parallelism);
+          ("scaling", J.List (List.map tier_json shots));
+        ]),
+    failures )
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (Bechamel)                                          *)
@@ -1573,27 +1393,33 @@ let run_micro () =
     tests;
   Table.print t
 
+
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* an experiment that prints only: no record, no gate *)
+let plain run () =
+  run ();
+  (J.Null, [])
+
 let experiments =
   [
-    ("table1", run_table1);
-    ("fig2", run_fig2);
-    ("table2", run_table2);
+    ("table1", plain run_table1);
+    ("fig2", plain run_fig2);
+    ("table2", plain run_table2);
     ("table3", run_table3);
-    ("fig4", run_fig4);
-    ("ablation-link", run_ablation_link);
-    ("ablation-detailed", run_ablation_detailed);
-    ("ablation-weights", run_ablation_weights);
-    ("ablation-overlap", run_ablation_overlap);
-    ("ablation-portmodel", run_ablation_portmodel);
-    ("ablation-arbitration", run_ablation_arbitration);
+    ("fig4", plain run_fig4);
+    ("ablation-link", plain run_ablation_link);
+    ("ablation-detailed", plain run_ablation_detailed);
+    ("ablation-weights", plain run_ablation_weights);
+    ("ablation-overlap", plain run_ablation_overlap);
+    ("ablation-portmodel", plain run_ablation_portmodel);
+    ("ablation-arbitration", plain run_ablation_arbitration);
     ("cuts-smoke", run_cuts_smoke);
     ("serve-smoke", run_serve_smoke);
     ("scaling", run_scaling);
-    ("micro", run_micro);
+    ("micro", plain run_micro);
   ]
 
 let () =
@@ -1611,17 +1437,36 @@ let () =
             exit 2)
     Sys.argv;
   let to_run =
-    match List.rev !requested with
-    | [] ->
-        (* the smoke legs are run-by-name only: each writes its own
-           minimal BENCH_lp.json and would clobber the table3 sweep's
-           record *)
-        List.filter
-          (fun n ->
-            n <> "cuts-smoke" && n <> "scaling")
-          (List.map fst experiments)
-    | names -> names
+    if !requested = [] then List.map fst experiments else List.rev !requested
   in
   line "Memory-mapping evaluation harness (%s mode)"
     (if !full_mode then "full" else "quick");
-  List.iter (fun name -> (List.assoc name experiments) ()) to_run
+  let results =
+    List.map (fun name -> (name, (List.assoc name experiments) ())) to_run
+  in
+  let records =
+    List.filter_map
+      (function
+        | _, (J.Null, _) -> None | name, (record, _) -> Some (name, record))
+      results
+  in
+  if records <> [] then begin
+    (* one record per line *)
+    let oc = open_out "BENCH_lp.json" in
+    List.iteri
+      (fun i (name, record) ->
+        Printf.fprintf oc "%s%s: %s\n"
+          (if i = 0 then "{ " else ", ")
+          (J.quote name) (J.to_string record))
+      records;
+    output_string oc "}\n";
+    close_out oc;
+    line "wrote BENCH_lp.json (%s)" (String.concat ", " (List.map fst records))
+  end;
+  let failures =
+    List.concat_map
+      (fun (name, (_, fs)) -> List.map (fun f -> name ^ ": " ^ f) fs)
+      results
+  in
+  List.iter prerr_endline failures;
+  if failures <> [] then exit 1

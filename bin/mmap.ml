@@ -351,12 +351,13 @@ let solve_mps_cmd =
             Printf.printf "wrote trace %s\n" path);
         let mip = r.Mm_lp.Solver.mip in
         let status =
-          match mip.Mm_lp.Branch_bound.status with
-          | Mm_lp.Branch_bound.Optimal -> "optimal"
-          | Mm_lp.Branch_bound.Feasible -> "feasible (limit hit)"
-          | Mm_lp.Branch_bound.Infeasible -> "infeasible"
-          | Mm_lp.Branch_bound.Unbounded -> "unbounded"
-          | Mm_lp.Branch_bound.Unknown -> "unknown (limit hit)"
+          let st = mip.Mm_lp.Branch_bound.status in
+          Mm_lp.Branch_bound.status_to_string st
+          ^
+          match st with
+          | Mm_lp.Branch_bound.Feasible | Mm_lp.Branch_bound.Unknown ->
+              " (limit hit)"
+          | _ -> ""
         in
         Printf.printf "status: %s | nodes: %d | time: %.3fs\n" status
           mip.Mm_lp.Branch_bound.nodes mip.Mm_lp.Branch_bound.time;

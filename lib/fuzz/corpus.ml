@@ -32,13 +32,6 @@ let parse_manifest text =
   in
   go 1 [] lines
 
-let status_name = function
-  | BB.Optimal -> "optimal"
-  | BB.Feasible -> "feasible"
-  | BB.Infeasible -> "infeasible"
-  | BB.Unbounded -> "unbounded"
-  | BB.Unknown -> "unknown"
-
 let obj_eq a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.abs a)
 
 let check_file ?time_limit dir (e : entry option) file =
@@ -70,10 +63,10 @@ let check_file ?time_limit dir (e : entry option) file =
               match e with
               | None -> Ok ()
               | Some e ->
-                  if status_name status <> e.expected then
+                  if BB.status_to_string status <> e.expected then
                     Error
                       (Printf.sprintf "expected %s, got %s" e.expected
-                         (status_name status))
+                         (BB.status_to_string status))
                   else
                     (match (e.objective, r.Solver.mip.BB.objective) with
                     | Some want, Some got when not (obj_eq want got) ->

@@ -14,13 +14,6 @@ type failure = { case : Case.t; arm : string; reason : string }
 let failure_to_string f =
   Printf.sprintf "[%s] %s: %s" f.arm (Case.describe f.case) f.reason
 
-let status_to_string = function
-  | BB.Optimal -> "optimal"
-  | BB.Feasible -> "feasible"
-  | BB.Infeasible -> "infeasible"
-  | BB.Unbounded -> "unbounded"
-  | BB.Unknown -> "unknown"
-
 let obj_eq a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.abs a)
 
 (* a limit-hit result proves nothing either way; skip its comparisons *)
@@ -81,7 +74,7 @@ let run_case ?(time_limit = 60.0) ~arms case =
               | s ->
                   Error
                     (Printf.sprintf "unexpected status %s on a bounded problem"
-                       (status_to_string s))
+                       (BB.status_to_string s))
             in
             match intrinsic with
             | Error reason -> fail "validation" reason
@@ -99,7 +92,7 @@ let run_case ?(time_limit = 60.0) ~arms case =
                       Error
                         (Printf.sprintf
                            "oracle proves infeasible, solver says %s"
-                           (status_to_string s))
+                           (BB.status_to_string s))
                   | `Optimal v, BB.Optimal, Some obj when obj_eq v obj ->
                       Ok true
                   | `Optimal v, BB.Optimal, Some obj ->
@@ -110,7 +103,7 @@ let run_case ?(time_limit = 60.0) ~arms case =
                       Error
                         (Printf.sprintf
                            "oracle optimum %.9g, solver says %s" v
-                           (status_to_string s))
+                           (BB.status_to_string s))
                 in
                 match oracle_verdict with
                 | Error reason -> fail "oracle" reason
@@ -128,8 +121,8 @@ let run_case ?(time_limit = 60.0) ~arms case =
                           Error
                             ( a.Arm.name,
                               Printf.sprintf "status %s, reference %s"
-                                (status_to_string status)
-                                (status_to_string ref_status) )
+                                (BB.status_to_string status)
+                                (BB.status_to_string ref_status) )
                         else
                           match (ref_obj, res.Solver.mip.BB.objective) with
                           | Some r, Some o when not (obj_eq r o) ->

@@ -4,12 +4,22 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
+let status_to_string = function
+  | Optimal -> "optimal"
+  | Feasible -> "feasible"
+  | Infeasible -> "infeasible"
+  | Unbounded -> "unbounded"
+  | Unknown -> "unknown"
+
+(* relative gap at which the incumbent counts as optimal *)
+let gap_tol = 1e-9
+
+(* a value farther than this from the nearest integer is fractional *)
+let int_tol = 1e-6
+
 type options = {
   time_limit : float option;
   node_limit : int option;
-  gap_tol : float;
-  int_tol : float;
-  log_every : int option;
   parallelism : int;
   trace : Mm_obs.Trace.t;
   node_cut_depth : int;
@@ -20,17 +30,13 @@ let default_options =
   {
     time_limit = None;
     node_limit = None;
-    gap_tol = 1e-9;
-    int_tol = 1e-6;
-    log_every = None;
     parallelism = 1;
     trace = Mm_obs.Trace.disabled;
     node_cut_depth = 2;
     node_cut_freq = 4;
   }
 
-let options ?time_limit ?node_limit ?(gap_tol = default_options.gap_tol)
-    ?(int_tol = default_options.int_tol) ?log_every
+let options ?time_limit ?node_limit
     ?(parallelism = default_options.parallelism)
     ?(trace = default_options.trace)
     ?(node_cut_depth = default_options.node_cut_depth)
@@ -38,9 +44,6 @@ let options ?time_limit ?node_limit ?(gap_tol = default_options.gap_tol)
   {
     time_limit;
     node_limit;
-    gap_tol;
-    int_tol;
-    log_every;
     parallelism;
     trace;
     node_cut_depth;
@@ -249,7 +252,7 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
   let signal reason = ignore (Atomic.compare_and_set control Run reason) in
   let fractional x j =
     let f = x.(j) -. Float.round x.(j) in
-    Float.abs f > options.int_tol
+    Float.abs f > int_tol
   in
   let rec try_incumbent snk ~src x obj =
     let cur = Atomic.get incumbent in
@@ -357,14 +360,7 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
   let process ws (nd : node) =
     let snk = sinks.(ws.id) in
     Mm_obs.Trace.point snk "node" nd.bound;
-    let n_now = Atomic.fetch_and_add nodes 1 + 1 in
-    (match options.log_every with
-    | Some k when n_now mod k = 0 && Domain.self () = main_id ->
-        Log.info (fun m ->
-            m "node %d: bound=%g incumbent=%g open=%d" n_now
-              (Float.min (Node_pool.min_bound pool) (Atomic.get incumbent).obj)
-              (Atomic.get incumbent).obj (Node_pool.queued pool))
-    | _ -> ());
+    Atomic.incr nodes;
     ws.processed <- ws.processed + 1;
     apply_node ws nd;
     let timed_solve ?(prefer_dual = false) () =
@@ -574,7 +570,7 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
               let inc = (Atomic.get incumbent).obj in
               let bb = Float.min (Node_pool.min_bound pool) inc in
               let g = Float.abs (inc -. bb) /. Float.max 1e-9 (Float.abs inc) in
-              if g <= options.gap_tol then begin
+              if g <= gap_tol then begin
                 signal Stop_gap;
                 Node_pool.drain pool
               end

@@ -31,12 +31,13 @@ type status =
   | Unbounded
   | Unknown  (** limit hit before any incumbent *)
 
+val status_to_string : status -> string
+(** The wire name: ["optimal"], ["feasible"], ["infeasible"],
+    ["unbounded"] or ["unknown"]. *)
+
 type options = {
   time_limit : float option;  (** wall-clock seconds *)
   node_limit : int option;
-  gap_tol : float;  (** relative gap for early optimality, default 1e-9 *)
-  int_tol : float;  (** integrality tolerance, default 1e-6 *)
-  log_every : int option;  (** log progress every N nodes via [Logs] *)
   parallelism : int;
       (** worker domains for the tree search; 1 (default) is the
           deterministic serial schedule, [<= 0] asks the runtime for
@@ -62,9 +63,6 @@ val default_options : options
 val options :
   ?time_limit:float ->
   ?node_limit:int ->
-  ?gap_tol:float ->
-  ?int_tol:float ->
-  ?log_every:int ->
   ?parallelism:int ->
   ?trace:Mm_obs.Trace.t ->
   ?node_cut_depth:int ->

@@ -248,31 +248,18 @@ let no_cut_stats =
     last_basis = None;
   }
 
-let infeasible_result p t0 =
+(* the tree-free result of a presolve verdict: an infeasible minimize
+   is bounded by +inf, an unbounded one by -inf, flipped for a
+   maximize objective *)
+let verdict_result status p t0 =
+  let bound =
+    if status = Branch_bound.Infeasible then infinity else neg_infinity
+  in
   {
-    Branch_bound.status = Branch_bound.Infeasible;
+    Branch_bound.status;
     solution = None;
     objective = None;
-    best_bound = (if p.Problem.maximize_input then neg_infinity else infinity);
-    nodes = 0;
-    simplex_iterations = 0;
-    time = Unix.gettimeofday () -. t0;
-    lp_time = 0.0;
-    max_node_lp_time = 0.0;
-    lp_stats = Simplex.empty_stats;
-    par = Branch_bound.serial_par_stats;
-    incumbent_source = Branch_bound.No_incumbent;
-    pseudocosts = Branch_bound.empty_pseudocosts;
-    branches = 0;
-    objective_branches = 0;
-  }
-
-let unbounded_result p t0 =
-  {
-    Branch_bound.status = Branch_bound.Unbounded;
-    solution = None;
-    objective = None;
-    best_bound = (if p.Problem.maximize_input then infinity else neg_infinity);
+    best_bound = (if p.Problem.maximize_input then -.bound else bound);
     nodes = 0;
     simplex_iterations = 0;
     time = Unix.gettimeofday () -. t0;
@@ -341,8 +328,16 @@ let solve ?(options = default_options) ?warm p =
     else (Some (`Problem p), fun x -> x)
   in
   match reduced with
-  | None -> { mip = infeasible_result p t0; stats = empty_stats before }
-  | Some `Unbounded -> { mip = unbounded_result p t0; stats = empty_stats before }
+  | None ->
+      {
+        mip = verdict_result Branch_bound.Infeasible p t0;
+        stats = empty_stats before;
+      }
+  | Some `Unbounded ->
+      {
+        mip = verdict_result Branch_bound.Unbounded p t0;
+        stats = empty_stats before;
+      }
   | Some (`Problem q) ->
       (* root cutting planes: the pool owns the whole loop (separation,
          dedup, scoring, aging) and afterwards serves node separation *)

@@ -293,13 +293,6 @@ let method_to_string = function
   | Mapper.Global_detailed -> "global"
   | Mapper.Complete_flat -> "complete"
 
-let status_to_string = function
-  | Mm_lp.Branch_bound.Optimal -> "optimal"
-  | Mm_lp.Branch_bound.Feasible -> "feasible"
-  | Mm_lp.Branch_bound.Infeasible -> "infeasible"
-  | Mm_lp.Branch_bound.Unbounded -> "unbounded"
-  | Mm_lp.Branch_bound.Unknown -> "unknown"
-
 let to_json t =
   let module J = Mm_obs.Json in
   let o = t.result in
@@ -312,7 +305,8 @@ let to_json t =
     J.Obj
       [
         ("index", J.Num (float_of_int a.Mapper.index));
-        ("ilp_status", J.Str (status_to_string a.Mapper.ilp_status));
+        ( "ilp_status",
+          J.Str (Mm_lp.Branch_bound.status_to_string a.Mapper.ilp_status) );
         ("ilp_objective", opt_num a.Mapper.ilp_objective);
         ("ilp_nodes", J.Num (float_of_int a.Mapper.ilp_nodes));
         ("ilp_seconds", J.Num a.Mapper.ilp_seconds);
@@ -357,7 +351,10 @@ let to_json t =
     [
       ("method", J.Str (method_to_string o.Mapper.method_));
       ("objective", J.Num o.Mapper.objective);
-      ("status", J.Str (status_to_string mip.Mm_lp.Branch_bound.status));
+      ( "status",
+        J.Str
+          (Mm_lp.Branch_bound.status_to_string mip.Mm_lp.Branch_bound.status)
+      );
       ("best_bound", J.Num mip.Mm_lp.Branch_bound.best_bound);
       ("retries", J.Num (float_of_int o.Mapper.retries));
       ("attempts", J.List (List.map attempt o.Mapper.attempts));

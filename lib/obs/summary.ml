@@ -87,6 +87,11 @@ let phase_totals events =
     (fun ev -> if ev.kind = "span" then Some (ev.name, ev.dur_s) else None)
     events
 
+let counter_totals events =
+  accumulate ( + ) 0
+    (fun ev -> if ev.kind = "count" then Some (ev.name, ev.n) else None)
+    events
+
 let normalized events =
   List.map (fun ev -> (ev.dom, ev.kind, ev.name, ev.n)) events
 
@@ -137,11 +142,7 @@ let render events =
        spans;
      section "" (Mm_util.Table.render tbl));
   (* counters *)
-  let counts =
-    accumulate ( + ) 0
-      (fun ev -> if ev.kind = "count" then Some (ev.name, ev.n) else None)
-      events
-  in
+  let counts = counter_totals events in
   (if counts <> [] then
      let tbl =
        Mm_util.Table.create ~title:"Counters"

@@ -22,6 +22,10 @@ val phase_totals : event list -> (string * float) list
 (** Per span name, summed duration in seconds, in order of first
     appearance. *)
 
+val counter_totals : event list -> (string * int) list
+(** Per count-event name, summed increments, in order of first
+    appearance. *)
+
 val normalized : event list -> (int * string * string * int) list
 (** The determinism view of a trace: [(dom, kind, name, n)] per event,
     dropping timestamps, durations, float payloads and histogram

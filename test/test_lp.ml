@@ -971,6 +971,45 @@ let test_solver_without_presolve_or_cuts () =
   Alcotest.(check bool) "presolve off agrees" true (eq base no_pre);
   Alcotest.(check bool) "cuts off agrees" true (eq base no_cuts)
 
+(* presolve settles both models before any LP: [Solver.solve] must
+   return the verdict with the user-sense bound (an infeasible minimize
+   is bounded by +inf, an unbounded one by -inf, both flipped under
+   maximize) *)
+let test_solver_presolve_verdicts () =
+  let solve sense build =
+    let m = Model.create () in
+    let x = build m in
+    Model.set_objective m sense (Expr.var x);
+    (Solver.solve (Model.to_problem m)).Solver.mip
+  in
+  let binary_at_least_two m =
+    let x = Model.binary m () in
+    Model.add_ge m (Expr.var x) 2.0;
+    x
+  in
+  let free m =
+    Model.add_var m ~lb:neg_infinity ~ub:infinity Problem.Continuous
+  in
+  List.iter
+    (fun (sense, name, infeasible_bound) ->
+      let check what status bound (r : Branch_bound.result) =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s status" name what)
+          true (r.Branch_bound.status = status);
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s %s best_bound" name what)
+          bound r.Branch_bound.best_bound;
+        Alcotest.(check int) (name ^ " no nodes") 0 r.Branch_bound.nodes
+      in
+      check "infeasible" Branch_bound.Infeasible infeasible_bound
+        (solve sense binary_at_least_two);
+      check "unbounded" Branch_bound.Unbounded (-.infeasible_bound)
+        (solve sense free))
+    [
+      (Model.Minimize, "minimize", infinity);
+      (Model.Maximize, "maximize", neg_infinity);
+    ]
+
 let test_time_limit_zero_budget () =
   (* an exhausted budget handed down to the tree search (presolve+cuts
      ate the whole limit) must stop cleanly before the root node, serial
@@ -1887,6 +1926,11 @@ let () =
           Alcotest.test_case "var names" `Quick test_model_var_name;
           prop_mixed_matches_grid_enumeration;
           prop_wide_magnitude_coefficients;
+        ] );
+      ( "solver",
+        [
+          Alcotest.test_case "presolve verdicts" `Quick
+            test_solver_presolve_verdicts;
         ] );
       ( "parallel",
         [
