@@ -461,7 +461,10 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
                        && nd.depth <= options.node_cut_depth
                        && ws.processed mod options.node_cut_freq = 0 ->
                     let before = ws.ncuts in
-                    let after = Cut_pool.node_separate cp ws.prob x in
+                    let after =
+                      Mm_obs.Trace.span snk "separate" (fun () ->
+                          Cut_pool.node_separate cp ws.prob x)
+                    in
                     if after > before then begin
                       sync_cuts ws;
                       (* sync restored root bounds — put the node back *)

@@ -21,20 +21,35 @@ let options ?(rounds = 3) ?(max_per_round = 50) ?(max_age = 8)
     ?(separators = Separator.default) () =
   { rounds; max_per_round; max_age; separators }
 
+(* A cut's dedup identity: its sorted index support, and its normal
+   form and [key_of] key, both built only when first needed. *)
+type ident = {
+  support : int array;
+  norm : float array Lazy.t;
+  key : string Lazy.t;
+}
+
+module Support = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash s = Array.fold_left (fun h j -> (h * 31) + j) 17 s land max_int
+end)
+
 (* One accepted cut: its row name carries the family prefix and a
    per-pool counter ("cover:12"), so traces never collide across
    rounds or nodes. *)
 type entry = {
   cut : Separator.cut;
   name : string;
-  key : string;
+  ident : ident;
   mutable age : int;  (* consecutive root LP solves spent loose *)
 }
 
 type t = {
   opts : options;
   base : Problem.t;
-  seen : (string, unit) Hashtbl.t;
+  seen : ident list Support.t;  (* live accepted cuts by support *)
   counters : (string, int ref) Hashtbl.t;  (* per-family naming counter *)
   accepted : (string, int ref) Hashtbl.t;  (* per-family accepted total *)
   mutable root_entries : entry list;  (* LP row order, after [base]'s rows *)
@@ -49,7 +64,7 @@ let create ?(options = default_options) base =
   {
     opts = options;
     base;
-    seen = Hashtbl.create 64;
+    seen = Support.create 64;
     counters = Hashtbl.create 8;
     accepted = Hashtbl.create 8;
     root_entries = [];
@@ -78,10 +93,11 @@ let fresh_name t (c : Separator.cut) =
   incr r;
   name
 
-(* Deduplication key: terms sorted by variable and scaled by the L∞
-   norm, bounds scaled alike — cuts identical up to positive scaling
-   hash equal. *)
-let key_of (c : Separator.cut) =
+(* Deduplication normal form: terms sorted by variable and scaled by
+   the L∞ norm, bounds scaled alike — cuts identical up to positive
+   scaling normalize equal. [norm] holds the scaled coefficients in
+   support order, then the scaled lb and ub. *)
+let normalize (c : Separator.cut) =
   let terms =
     List.sort (fun (a, _) (b, _) -> compare (a : int) b) c.Separator.terms
   in
@@ -89,14 +105,66 @@ let key_of (c : Separator.cut) =
     List.fold_left (fun m (_, a) -> Float.max m (Float.abs a)) 0.0 terms
   in
   let scale = if scale = 0.0 then 1.0 else scale in
+  Array.of_list
+    (List.map (fun (_, a) -> a /. scale) terms
+    @ [ c.Separator.lb /. scale; c.Separator.ub /. scale ])
+
+(* Deduplication key: the normal form printed to 9 significant digits,
+   so cuts equal up to rounding noise hash equal. *)
+let key_of support norm =
+  let n = Array.length support in
   let buf = Buffer.create 64 in
-  List.iter
-    (fun (j, a) -> Buffer.add_string buf (Printf.sprintf "%d:%.9g;" j (a /. scale)))
-    terms;
+  Array.iteri
+    (fun i j -> Buffer.add_string buf (Printf.sprintf "%d:%.9g;" j norm.(i)))
+    support;
   Buffer.add_string buf
-    (Printf.sprintf "|%.9g;%.9g" (c.Separator.lb /. scale)
-       (c.Separator.ub /. scale));
+    (Printf.sprintf "|%.9g;%.9g" norm.(n) norm.(n + 1));
   Buffer.contents buf
+
+(* Two cuts with equal keys have equal sorted index sequences (the key
+   spells every index out in order), so a cut whose support no live
+   cut shares is fresh without normalizing or printing anything; only
+   cuts on one support are compared. *)
+let ident_of (c : Separator.cut) =
+  let support = Array.of_list (List.map fst c.Separator.terms) in
+  (* GMI rows come out by increasing index already: check, don't sort *)
+  let ascending = ref true in
+  for i = 1 to Array.length support - 1 do
+    if support.(i - 1) > support.(i) then ascending := false
+  done;
+  if not !ascending then Array.stable_sort Int.compare support;
+  let norm = lazy (normalize c) in
+  { support; norm; key = lazy (key_of support (Lazy.force norm)) }
+
+(* Key equality of two cuts on one support, printing as little as
+   possible: bit-identical normal forms print identically, and since
+   %.9g prints two floats alike only when both round to one 9-digit
+   decimal (so they lie at most 1e-8 of the larger magnitude apart), a
+   wider gap in any slot proves the keys differ. Only the cases in
+   between print and compare the keys. *)
+let same_key a b =
+  let na = Lazy.force a.norm and nb = Lazy.force b.norm in
+  let bits = Int64.bits_of_float in
+  let apart u v =
+    Float.abs (u -. v) > 2e-8 *. Float.max (Float.abs u) (Float.abs v)
+  in
+  Array.for_all2 (fun u v -> Int64.equal (bits u) (bits v)) na nb
+  || (not (Array.exists2 apart na nb))
+     && String.equal (Lazy.force a.key) (Lazy.force b.key)
+
+let seen t id =
+  match Support.find_opt t.seen id.support with
+  | None -> false
+  | Some ids -> List.exists (same_key id) ids
+
+let remember t id =
+  let ids = Option.value (Support.find_opt t.seen id.support) ~default:[] in
+  Support.replace t.seen id.support (id :: ids)
+
+let forget t id =
+  match List.filter (fun o -> o != id) (Support.find t.seen id.support) with
+  | [] -> Support.remove t.seen id.support
+  | ids -> Support.replace t.seen id.support ids
 
 (* Violation scoring: raw violation over the L∞ norm of the row, so
    families with different coefficient scales rank comparably. Cover
@@ -111,19 +179,25 @@ let score x (c : Separator.cut) =
   Separator.violation c x /. amax
 
 (* Rank candidates by score, drop known duplicates (and intra-batch
-   ones), cap at [max_per_round], stamp names, and mark accepted. The
-   caller must hold [t.lock] when other domains may be active. *)
+   ones), cap at [max_per_round], stamp names, and mark accepted. Each
+   score is computed once; the sort is stable, so ties keep candidate
+   order. The caller must hold [t.lock] when other domains may be
+   active. *)
 let select t x cand =
-  let sorted = List.sort (fun a b -> compare (score x b) (score x a)) cand in
+  let sorted =
+    List.map (fun c -> (score x c, c)) cand
+    |> List.sort (fun (sa, _) (sb, _) -> Float.compare sb sa)
+  in
   let accepted = ref [] and count = ref 0 in
   List.iter
-    (fun c ->
+    (fun (_, c) ->
       if !count < t.opts.max_per_round then begin
-        let key = key_of c in
-        if not (Hashtbl.mem t.seen key) then begin
-          Hashtbl.replace t.seen key ();
+        let ident = ident_of c in
+        if not (seen t ident) then begin
+          remember t ident;
           bump t.accepted c.Separator.family 1;
-          accepted := { cut = c; name = fresh_name t c; key; age = 0 } :: !accepted;
+          accepted :=
+            { cut = c; name = fresh_name t c; ident; age = 0 } :: !accepted;
           incr count
         end
       end)
@@ -178,7 +252,7 @@ let prune t p =
   else begin
     List.iter
       (fun e ->
-        Hashtbl.remove t.seen e.key;
+        forget t e.ident;
         bump t.accepted e.cut.Separator.family (-1))
       drop;
     t.ndropped <- t.ndropped + List.length drop;
@@ -227,11 +301,14 @@ let root_loop ?basis ?deadline ~snk t =
           p
         end
         else begin
-          let ctx = { Separator.p; x; sx = Some sx } in
-          let cand =
-            List.concat_map (fun s -> Separator.separate s ctx) opts.separators
+          let accepted =
+            Mm_obs.Trace.span snk "separate" (fun () ->
+                let ctx = { Separator.p; x; sx = Some sx } in
+                List.concat_map
+                  (fun s -> Separator.separate s ctx)
+                  opts.separators
+                |> select t x)
           in
-          let accepted = select t x cand in
           if accepted = [] then begin
             Mm_obs.Trace.count snk "cut_noop_round" 1;
             finish sx;

@@ -48,28 +48,74 @@ let violation c x =
 
 (* --- knapsack covers ---------------------------------------------------- *)
 
+(* Exact pre-test of an all-binary row with finite upper bound: one
+   allocation-free pass in the normalized y space of [knapsack_items].
+   The greedy cover takes items by decreasing y, so every item with
+   y > 0 comes before every item with y <= 0. If those items weigh no
+   more than b', the greedy takes all of them and then an item with
+   y <= 0, and the cover C holds all n+ positive items plus at least
+   one more: |C| - 1 >= n+. Every item outside C has y <= 0, so a
+   lifted term adds nothing either, and the inequality's left side is
+   at most S+, the sum of the positive y. When S+ <= n+ + viol_tol/2
+   (false only if the y overshoot 1 by that much in total) neither the
+   cover nor its lifting is violated. The weight test keeps a 1e-9
+   relative margin because the greedy sums in sorted order and this
+   pass in row order. [false] only where the cover and the lifted
+   cover provably return [None]; a NaN anywhere keeps the row. *)
+let may_cover p x r =
+  let b = p.Problem.row_ub.(r) in
+  let idx, v = p.Problem.rows.(r) in
+  let n = Array.length idx in
+  if not (Float.is_finite b) || n < 2 then false
+  else begin
+    let binary = ref true and b' = ref b in
+    let wpos = ref 0.0 and ypos = ref 0.0 and npos = ref 0 in
+    for k = 0 to n - 1 do
+      let j = idx.(k) and a = v.(k) in
+      if p.Problem.kind.(j) <> Problem.Binary then binary := false;
+      if a > 0.0 then begin
+        let y = x.(j) in
+        if not (y <= 0.0) then begin
+          wpos := !wpos +. a;
+          ypos := !ypos +. y;
+          incr npos
+        end
+      end
+      else if a < 0.0 then begin
+        b' := !b' -. a;
+        let y = 1.0 -. x.(j) in
+        if not (y <= 0.0) then begin
+          wpos := !wpos -. a;
+          ypos := !ypos +. y;
+          incr npos
+        end
+      end
+    done;
+    !binary
+    && (not (!b' < 0.0))
+    && not
+         (!wpos *. (1.0 +. 1e-9) <= !b'
+         && !ypos <= float_of_int !npos +. (0.5 *. viol_tol))
+  end
+
 (* Normalize an all-binary row with finite upper bound to
    sum a'_j y_j <= b' with a'_j > 0 and y_j in {x_j, 1 - x_j}.
-   Items carry (variable, weight, complemented, current y value). *)
+   Items carry (variable, weight, complemented, current y value).
+   [None] for rows [may_cover] rules out, which include every row that
+   is not all-binary, has fewer than two entries, an infinite upper
+   bound or b' < 0. *)
 let knapsack_items p x r =
-  let b = p.Problem.row_ub.(r) in
-  if not (Float.is_finite b) || Problem.row_nnz p r < 2 then None
+  if not (may_cover p x r) then None
   else begin
-    let all_binary = ref true in
-    Problem.row_iter p r (fun j _ ->
-        if p.Problem.kind.(j) <> Problem.Binary then all_binary := false);
-    if not !all_binary then None
-    else begin
-      let b' = ref b in
-      let rev_items = ref [] in
-      Problem.row_iter p r (fun j a ->
-          if a > 0.0 then rev_items := (j, a, false, x.(j)) :: !rev_items
-          else if a < 0.0 then begin
-            b' := !b' -. a;
-            rev_items := (j, -.a, true, 1.0 -. x.(j)) :: !rev_items
-          end);
-      if !b' < 0.0 then None else Some (List.rev !rev_items, !b')
-    end
+    let b' = ref p.Problem.row_ub.(r) in
+    let rev_items = ref [] in
+    Problem.row_iter p r (fun j a ->
+        if a > 0.0 then rev_items := (j, a, false, x.(j)) :: !rev_items
+        else if a < 0.0 then begin
+          b' := !b' -. a;
+          rev_items := (j, -.a, true, 1.0 -. x.(j)) :: !rev_items
+        end);
+    Some (List.rev !rev_items, !b')
   end
 
 (* Greedy cover: add items by decreasing fractional value until the
@@ -150,6 +196,24 @@ module Lifted_cover = struct
   let name = "lcover"
   let bound_free = true
 
+  (* Every lifting coefficient lies in [0, rhs], so the lifted left
+     side is at most  sum_C y + rhs * sum_{outside, y > 0} y. When that
+     bound stays under rhs + viol_tol/2 the lifted cut cannot be
+     violated and the DP is skipped (half the tolerance covers the
+     difference in summation order). *)
+  let cannot_violate cover in_cover items rhs =
+    let cover_y =
+      List.fold_left (fun acc (_, _, _, xv) -> acc +. xv) 0.0 cover
+    in
+    let outside_y =
+      List.fold_left
+        (fun acc (j, _, _, xv) ->
+          if xv <= 0.0 || Hashtbl.mem in_cover j then acc else acc +. xv)
+        0.0 items
+    in
+    let frhs = float_of_int rhs in
+    cover_y +. (frhs *. outside_y) <= frhs +. (0.5 *. viol_tol)
+
   let lift_row p x r =
     match knapsack_items p x r with
     | None -> None
@@ -158,10 +222,10 @@ module Lifted_cover = struct
         | None -> None
         | Some cover ->
             let rhs = List.length cover - 1 in
-            if rhs < 1 then None
+            let in_cover = Hashtbl.create 16 in
+            List.iter (fun (j, _, _, _) -> Hashtbl.replace in_cover j ()) cover;
+            if rhs < 1 || cannot_violate cover in_cover items rhs then None
             else begin
-              let in_cover = Hashtbl.create 16 in
-              List.iter (fun (j, _, _, _) -> Hashtbl.replace in_cover j ()) cover;
               let outside =
                 items
                 |> List.filter (fun (j, _, _, _) -> not (Hashtbl.mem in_cover j))

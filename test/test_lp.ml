@@ -1320,6 +1320,280 @@ let test_cut_pool_aging_drops_loose_cuts () =
   Alcotest.(check int) "pool agrees" 0
     (List.fold_left (fun a (_, n) -> a + n) 0 (Cut_pool.by_family pool))
 
+(* --- Separation against the reference implementation ---------------------- *)
+
+(* Random all-binary rows and points aimed at the pre-tests' edges:
+   mixed-sign coefficients (complemented items), weights of unit and of
+   1e9 magnitude (where the summation order shows in the last bits), x
+   values up to 1e-7 outside [0, 1] drawn from a small set so that y
+   values tie, and right-hand sides that put the positive-y weight
+   exactly on b' (summed in row order or in greedy order, or one ulp
+   off). *)
+let sep_oracle_gen =
+  QCheck.make
+    ~print:(fun (n, m, s) -> Printf.sprintf "n=%d rows=%d seed=%d" n m s)
+    QCheck.Gen.(
+      let* n = int_range 2 10 in
+      let* mrows = int_range 1 4 in
+      let* seed = int_range 0 1_000_000 in
+      return (n, mrows, seed))
+
+(* b' of a row exactly as the separators compute it *)
+let complemented_rhs p r b =
+  let b' = ref b in
+  Problem.row_iter p r (fun _ a -> if a < 0.0 then b' := !b' -. a);
+  !b'
+
+(* weight of the row's items with y > 0, in row order or in the
+   greedy's decreasing-y order *)
+let positive_y_weight ~greedy p x r =
+  let items = ref [] in
+  Problem.row_iter p r (fun j a ->
+      if a > 0.0 then items := (a, x.(j)) :: !items
+      else if a < 0.0 then items := (-.a, 1.0 -. x.(j)) :: !items);
+  let items = List.rev !items in
+  let items =
+    if greedy then List.sort (fun (_, ya) (_, yb) -> compare yb ya) items
+    else items
+  in
+  List.fold_left (fun w (a, y) -> if y > 0.0 then w +. a else w) 0.0 items
+
+let build_sep_case (n, mrows, seed) =
+  let rng = Mm_util.Prng.create (seed + 4242) in
+  let x =
+    Array.init n (fun _ ->
+        Mm_util.Prng.pick rng
+          [
+            -1e-7; 0.0; 1e-7; 0.25; 0.5; 0.75; 1.0 -. 1e-7; 1.0; 1.0 +. 1e-7;
+            Mm_util.Prng.float rng 1.0;
+          ])
+  in
+  let m = Model.create () in
+  let vars = Array.init n (fun _ -> Model.binary m ()) in
+  for _ = 1 to mrows do
+    let scale = if Mm_util.Prng.int rng 3 = 0 then 1e9 else 1.0 in
+    let terms =
+      List.filter_map
+        (fun j ->
+          if Mm_util.Prng.int rng 5 = 0 then None
+          else begin
+            let mag =
+              if Mm_util.Prng.bool rng then
+                float_of_int (Mm_util.Prng.int_in rng 1 9)
+              else 0.1 +. Mm_util.Prng.float rng 9.9
+            in
+            let sign = if Mm_util.Prng.int rng 10 < 3 then -1.0 else 1.0 in
+            Some (Expr.var ~coeff:(sign *. scale *. mag) vars.(j))
+          end)
+        (Mm_util.Ints.range n)
+    in
+    Model.add_le m (Expr.sum terms) 0.0
+  done;
+  let p = Model.to_problem m in
+  let row_ub =
+    Array.init p.Problem.nrows (fun r ->
+        let total = ref 0.0 and neg = ref 0.0 in
+        Problem.row_iter p r (fun _ a ->
+            total := !total +. Float.abs a;
+            if a < 0.0 then neg := !neg -. a);
+        let target =
+          match Mm_util.Prng.int rng 5 with
+          | 0 -> Mm_util.Prng.float rng 1.2 *. !total
+          | 1 -> positive_y_weight ~greedy:false p x r
+          | 2 -> positive_y_weight ~greedy:true p x r
+          | 3 -> Float.pred (positive_y_weight ~greedy:false p x r)
+          | _ -> Float.succ (positive_y_weight ~greedy:true p x r)
+        in
+        (* b = target - |negatives|, nudged until b' lands on target *)
+        let b = ref (target -. !neg) in
+        for _ = 1 to 4 do
+          b := !b +. (target -. complemented_rhs p r !b)
+        done;
+        !b)
+  in
+  ({ p with Problem.row_ub }, x)
+
+let prop_separators_match_reference =
+  qtest ~count:2000 "cover, lcover and selection match the reference"
+    sep_oracle_gen (fun params ->
+      let p, x = build_sep_case params in
+      let ctx = { Separator.p; x; sx = None } in
+      let cover = Separator.separate Separator.cover ctx
+      and lcover = Separator.separate Separator.lifted_cover ctx in
+      let ref_cover = Ref_separator.Cover.separate ctx
+      and ref_lcover = Ref_separator.Lifted_cover.separate ctx in
+      (* the pool's node separation runs both bound-free families and
+         accepts through the lazy-key dedup; a second call on the same
+         point must find only duplicates *)
+      let pool = Cut_pool.create p in
+      let k1 = Cut_pool.node_separate pool p x in
+      let k2 = Cut_pool.node_separate pool p x in
+      let accepted =
+        List.map
+          (fun (_, terms, lb, ub) -> (terms, lb, ub))
+          (Cut_pool.rows_from pool 0)
+      in
+      let seen = Hashtbl.create 16 in
+      let ref_accepted =
+        Ref_separator.select ~max_per_round:50 seen x (ref_cover @ ref_lcover)
+        |> List.map (fun (c : Separator.cut) ->
+               (c.Separator.terms, c.Separator.lb, c.Separator.ub))
+      in
+      cover = ref_cover && lcover = ref_lcover && k1 = k2
+      && accepted = ref_accepted)
+
+(* The root rounds of complete Table-3 points 0-4: every round's
+   candidates come out of the production families and of the reference
+   ones (the GMI family is shared), and what the pool accepts must be
+   what the reference selection accepts from the reference candidates,
+   round by round. *)
+let test_root_rounds_match_reference () =
+  List.iter
+    (fun i ->
+      let pt = List.nth Mm_workload.Table3.points i in
+      let board, design = Mm_workload.Gen.instance pt.Mm_workload.Table3.spec in
+      let p =
+        match
+          Mm_mapping.Complete_ilp.F.build
+            (Mm_mapping.Formulation.ctx board design)
+        with
+        | Ok (p, _) -> p
+        | Error e -> Alcotest.fail e
+      in
+      let q =
+        match Presolve.presolve p with
+        | Presolve.Reduced (q, _) -> q
+        | _ -> Alcotest.fail "presolve did not reduce"
+      in
+      let seen = Hashtbl.create 64 in
+      let expected = ref [] and rounds = ref 0 in
+      let module Both = struct
+        let name = "both"
+        let bound_free = false
+
+        let separate ctx =
+          let cand =
+            List.concat_map (fun s -> Separator.separate s ctx) Separator.default
+          in
+          let ref_cand =
+            Ref_separator.Cover.separate ctx
+            @ Ref_separator.Lifted_cover.separate ctx
+            @ Separator.separate Separator.gomory ctx
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "point %d round %d candidates" i !rounds)
+            true (cand = ref_cand);
+          incr rounds;
+          expected :=
+            !expected
+            @ Ref_separator.select ~max_per_round:50 seen ctx.Separator.x
+                ref_cand;
+          cand
+      end in
+      let pool =
+        Cut_pool.create
+          ~options:(Cut_pool.options ~separators:[ (module Both) ] ())
+          q
+      in
+      let q', st = Cut_pool.root_loop ~snk:Mm_obs.Trace.null pool in
+      Alcotest.(check bool) (Printf.sprintf "point %d separated" i) true (!rounds > 0);
+      let rows =
+        List.init (q'.Problem.nrows - q.Problem.nrows) (fun k ->
+            let r = q.Problem.nrows + k in
+            let idx, v = q'.Problem.rows.(r) in
+            ( List.combine (Array.to_list idx) (Array.to_list v),
+              q'.Problem.row_lb.(r),
+              q'.Problem.row_ub.(r) ))
+      in
+      let expected =
+        List.map
+          (fun (c : Separator.cut) ->
+            ( List.stable_sort
+                (fun (a, _) (b, _) -> compare a b)
+                c.Separator.terms
+              |> List.filter (fun (_, a) -> a <> 0.0),
+              c.Separator.lb,
+              c.Separator.ub ))
+          !expected
+      in
+      Alcotest.(check int) (Printf.sprintf "point %d accepted" i)
+        (List.length expected) st.Cut_pool.added;
+      Alcotest.(check bool) (Printf.sprintf "point %d accepted rows" i) true
+        (rows = expected))
+    [ 0; 1; 2; 3; 4 ]
+
+(* --- Cut pool dedup semantics ---------------------------------------------- *)
+
+let fixed_separator cuts : Separator.t =
+  (module struct
+    let name = "fixed"
+    let bound_free = true
+    let separate _ = !cuts
+  end)
+
+let le_cut terms ub =
+  { Separator.family = "fixed"; terms; lb = neg_infinity; ub }
+
+let test_cut_pool_dedup_semantics () =
+  let p = knapsack_triple () in
+  let x = [| 0.55; 0.55; 0.55 |] in
+  let cuts = ref [] in
+  let pool =
+    Cut_pool.create
+      ~options:(Cut_pool.options ~separators:[ fixed_separator cuts ] ())
+      p
+  in
+  let offer cs =
+    cuts := cs;
+    Cut_pool.node_separate pool p x
+  in
+  let c = le_cut [ (0, 1.0); (1, 0.5) ] 1.0 in
+  Alcotest.(check int) "first cut accepted" 1 (offer [ c ]);
+  Alcotest.(check int) "positive scaling rejected" 1
+    (offer
+       [
+         le_cut [ (1, 1.0); (0, 2.0) ] 2.0;
+         le_cut [ (0, 1e3); (1, 5e2) ] 1e3;
+       ]);
+  Alcotest.(check int) "difference past the 9th digit rejected" 1
+    (offer [ le_cut [ (0, 1.0); (1, 0.5 +. 1e-11) ] 1.0 ]);
+  Alcotest.(check int) "same support, different cuts accepted" 3
+    (offer
+       [
+         le_cut [ (0, 1.0); (1, 0.5 +. 1e-6) ] 1.0;
+         le_cut [ (0, 1.0); (1, 1.0) ] 1.0;
+       ]);
+  Alcotest.(check int) "a difference in the 9th digit is a new cut" 4
+    (offer [ le_cut [ (0, 1.0); (1, 0.5 +. 1e-9) ] 1.0 ]);
+  Alcotest.(check int) "same batch duplicates collapse" 5
+    (offer
+       [ le_cut [ (2, 1.0); (0, 1.0) ] 1.0; le_cut [ (0, 3.0); (2, 3.0) ] 3.0 ]);
+  (* aging: a loose root cut dropped after max_age solves is forgotten,
+     so node separation accepts it again; without aging it stays a
+     duplicate *)
+  let loose = le_cut [ (0, 1.0); (1, 1.0); (2, 1.0) ] 2.9 in
+  List.iter
+    (fun (max_age, reaccepted) ->
+      let cuts = ref [ loose ] in
+      let pool =
+        Cut_pool.create
+          ~options:
+            (Cut_pool.options ~rounds:2 ~max_age
+               ~separators:[ fixed_separator cuts ] ())
+          p
+      in
+      let q, st = Cut_pool.root_loop ~snk:Mm_obs.Trace.null pool in
+      Alcotest.(check int) "root accepted the loose cut" 1 st.Cut_pool.added;
+      Alcotest.(check int)
+        (Printf.sprintf "max_age %d dropped" max_age)
+        (if reaccepted then 1 else 0)
+        st.Cut_pool.dropped;
+      Alcotest.(check int)
+        (Printf.sprintf "max_age %d node re-accepts" max_age)
+        (if reaccepted then 1 else 0)
+        (Cut_pool.node_separate pool q x))
+    [ (1, true); (8, false) ]
+
 (* the tableau rows read off the factorization must be valid equations:
    for the homogeneous system  A x - s = 0, every row of  B^-1 [A -I]
    annihilates the current solution vector *)
@@ -1958,6 +2232,11 @@ let () =
             test_cut_pool_dedup_and_naming;
           Alcotest.test_case "pool aging" `Quick
             test_cut_pool_aging_drops_loose_cuts;
+          Alcotest.test_case "pool dedup semantics" `Quick
+            test_cut_pool_dedup_semantics;
+          prop_separators_match_reference;
+          Alcotest.test_case "root rounds match reference" `Quick
+            test_root_rounds_match_reference;
           prop_tableau_rows_annihilate_solution;
           prop_node_cuts_preserve_optimum;
           Alcotest.test_case "baseline config" `Quick
