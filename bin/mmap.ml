@@ -8,9 +8,8 @@
      devices   print the built-in device library (the paper's Table 1)
      example   write template board/design files to get started
 
-   The solver knobs (-j, --cut-rounds, --max-cuts-per-round, --no-cuts,
-   --no-heuristics, --time-limit) live in Solver_flags and
-   are shared by solve, solve-mps and serve. *)
+   The solver knobs (-j, --no-cuts, --no-heuristics, --time-limit) live
+   in Solver_flags and are shared by solve, solve-mps and serve. *)
 
 open Cmdliner
 

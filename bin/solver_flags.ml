@@ -12,23 +12,27 @@ let time_limit_arg =
   Arg.(value & opt (some float) default.time_limit & info [ "time-limit" ]
          ~docv:"SECONDS" ~doc:"Wall-clock budget for each ILP solve.")
 
+(* an integer that [Knobs.check_parallelism] accepts, the bound a
+   request's [knobs] object is held to *)
+let parallelism_conv =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+        Result.map_error (fun e -> `Msg e)
+          (Mm_service.Knobs.check_parallelism n))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let parallelism_arg =
-  Arg.(value & opt int default.parallelism & info [ "j"; "parallelism" ]
+  Arg.(value & opt parallelism_conv default.parallelism
+       & info [ "j"; "parallelism" ]
          ~docv:"N"
-         ~doc:"Worker domains for the branch-and-bound tree search. \
+         ~doc:
+           (Printf.sprintf
+              "Worker domains for the branch-and-bound tree search. \
                $(b,1) (default) is the deterministic serial schedule; \
-               $(b,0) uses all available cores. Any value proves the \
-               same optimal objective.")
-
-let cut_rounds_arg =
-  Arg.(value & opt int default.cut_rounds & info [ "cut-rounds" ] ~docv:"N"
-         ~doc:"Root cutting-plane separation rounds ($(b,0) keeps the \
-               solver cut-free at the root; node cuts may still fire).")
-
-let max_cuts_arg =
-  Arg.(value & opt int default.max_cuts_per_round
-       & info [ "max-cuts-per-round" ] ~docv:"N"
-           ~doc:"Cap on cuts accepted per separation round.")
+               $(b,0) uses all available cores; at most %d. Any value \
+               proves the same optimal objective."
+              Mm_service.Knobs.max_parallelism))
 
 let no_cuts_arg =
   Arg.(value & flag & info [ "no-cuts" ]
@@ -40,14 +44,13 @@ let no_heuristics_arg =
                before the tree search.")
 
 let term : Mm_service.Knobs.t Term.t =
-  let make time_limit parallelism cut_rounds max_cuts_per_round no_cuts
-      no_heuristics =
-    Mm_service.Knobs.make ~parallelism ~cuts:(not no_cuts) ~cut_rounds
-      ~max_cuts_per_round ~heuristics:(not no_heuristics) ?time_limit ()
+  let make time_limit parallelism no_cuts no_heuristics =
+    Mm_service.Knobs.make ~parallelism ~cuts:(not no_cuts)
+      ~heuristics:(not no_heuristics) ?time_limit ()
   in
   Term.(
-    const make $ time_limit_arg $ parallelism_arg $ cut_rounds_arg
-    $ max_cuts_arg $ no_cuts_arg $ no_heuristics_arg)
+    const make $ time_limit_arg $ parallelism_arg $ no_cuts_arg
+    $ no_heuristics_arg)
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"

@@ -27,7 +27,8 @@ let matrix =
 
 let solver_options ?time_limit t =
   let o =
-    Solver.options ~cuts:(t.cuts <> Off)
+    Solver.options
+      ?separators:(if t.cuts = Off then Some [] else None)
       ~bb:
         (Branch_bound.options ?time_limit ~parallelism:t.parallelism ())
       ()

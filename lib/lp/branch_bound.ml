@@ -123,7 +123,6 @@ type result = {
   objective : float option;
   best_bound : float;
   nodes : int;
-  simplex_iterations : int;
   time : float;
   lp_time : float;
   max_node_lp_time : float;
@@ -189,7 +188,6 @@ type workspace = {
   mutable max_node_lp_time : float;
   mutable retired : Simplex.stats;
       (* stats of simplex instances replaced by cut-row extensions *)
-  mutable retired_pivots : int;
   mutable branches : int;
   mutable objective_branches : int;
       (* branches on a column with a nonzero objective coefficient *)
@@ -205,14 +203,7 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
     else options.parallelism
   in
   let main_id = Domain.self () in
-  let int_vars =
-    List.filter
-      (fun j ->
-        match p.Problem.kind.(j) with
-        | Problem.Integer | Problem.Binary -> true
-        | Problem.Continuous -> false)
-      (Mm_util.Ints.range n)
-  in
+  let int_vars = Problem.integer_columns p in
   (* a heuristic incumbent (from [Heuristics.run] on the cut-extended
      root) seeds the atomic cell so the very first nodes already prune
      against it; it is re-validated against [p] out of caution *)
@@ -268,18 +259,11 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
       end
       else try_incumbent snk ~src x obj
   in
-  let internal_obj x =
-    let acc = ref p.Problem.obj_const in
-    for j = 0 to n - 1 do
-      acc := !acc +. (p.Problem.obj.(j) *. x.(j))
-    done;
-    !acc
-  in
   let rounding_heuristic snk x =
     let r = Array.copy x in
     List.iter (fun j -> r.(j) <- Float.round r.(j)) int_vars;
     if Problem.max_violation p r <= 1e-7 then
-      try_incumbent snk ~src:Rounding r (internal_obj r)
+      try_incumbent snk ~src:Rounding r (Problem.internal_objective p r)
   in
   (* Objective columns first: zero-cost columns are scored only when
      no objective column is fractional. The mapping LPs have many
@@ -331,11 +315,8 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
           Simplex.restore_bounds ws.sx ws.root_bounds;
           let p' = Problem.extend_rows ws.prob rows in
           ws.retired <- Simplex.merge_stats ws.retired (Simplex.stats ws.sx);
-          ws.retired_pivots <- ws.retired_pivots + Simplex.iterations ws.sx;
           Simplex.flush_trace ws.sx;
-          let sx' = Simplex.create_from ws.sx p' in
-          Simplex.set_trace sx' sinks.(ws.id);
-          ws.sx <- sx';
+          ws.sx <- Simplex.create_from ws.sx p';
           ws.prob <- p';
           ws.ncuts <- ws.ncuts + List.length rows;
           ws.root_bounds <- Simplex.save_bounds ws.sx
@@ -615,7 +596,6 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
       lp_time = 0.0;
       max_node_lp_time = 0.0;
       retired = Simplex.empty_stats;
-      retired_pivots = 0;
       branches = 0;
       objective_branches = 0;
     }
@@ -692,34 +672,28 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
     | (Run | Stop_gap), Some _ -> Optimal
     | (Run | Stop_gap), None -> Infeasible
   in
+  let ws_stats =
+    Array.map
+      (fun ws -> Simplex.merge_stats ws.retired (Simplex.stats ws.sx))
+      workspaces
+  in
   {
     status = status_final;
     solution = inc.x;
     objective = (match inc.x with Some _ -> Some (to_user inc.obj) | None -> None);
     best_bound = to_user final_bound;
     nodes = Atomic.get nodes;
-    simplex_iterations =
-      Array.fold_left
-        (fun a ws -> a + Simplex.iterations ws.sx + ws.retired_pivots)
-        0 workspaces;
     time = elapsed ();
     lp_time = Array.fold_left (fun a ws -> a +. ws.lp_time) 0.0 workspaces;
     max_node_lp_time =
       Array.fold_left (fun a ws -> Float.max a ws.max_node_lp_time) 0.0 workspaces;
-    lp_stats =
-      Array.fold_left
-        (fun a ws ->
-          Simplex.merge_stats a (Simplex.merge_stats ws.retired (Simplex.stats ws.sx)))
-        Simplex.empty_stats workspaces;
+    lp_stats = Array.fold_left Simplex.merge_stats Simplex.empty_stats ws_stats;
     par =
       {
         domains_used = nworkers;
         nodes_stolen = Node_pool.nodes_stolen pool;
         idle_seconds = Node_pool.idle_seconds pool;
-        domain_pivots =
-          Array.map
-            (fun ws -> Simplex.iterations ws.sx + ws.retired_pivots)
-            workspaces;
+        domain_pivots = Array.map (fun st -> st.Simplex.pivots) ws_stats;
       };
     incumbent_source = inc.src;
     branches = Array.fold_left (fun a ws -> a + ws.branches) 0 workspaces;

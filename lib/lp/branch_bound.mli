@@ -129,7 +129,6 @@ type result = {
   objective : float option;  (** incumbent objective, user sense *)
   best_bound : float;  (** proved bound on the optimum, user sense *)
   nodes : int;
-  simplex_iterations : int;  (** summed across all domains *)
   time : float;  (** wall-clock seconds spent *)
   lp_time : float;
       (** seconds inside node LP solves, summed across domains (may

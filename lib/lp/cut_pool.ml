@@ -2,24 +2,11 @@ let src = Logs.Src.create "mm_lp.cuts" ~doc:"cut pool"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type options = {
-  rounds : int;
-  max_per_round : int;
-  max_age : int;
-  separators : Separator.t list;
-}
-
-let default_options =
-  {
-    rounds = 3;
-    max_per_round = 50;
-    max_age = 8;
-    separators = Separator.default;
-  }
-
-let options ?(rounds = 3) ?(max_per_round = 50) ?(max_age = 8)
-    ?(separators = Separator.default) () =
-  { rounds; max_per_round; max_age; separators }
+(* The root loop's limits: separation rounds, and cuts accepted per
+   separation call (root round or node). Constants, not settings: no
+   caller has needed other values. *)
+let rounds = 3
+let max_per_round = 50
 
 (* A cut's dedup identity: its sorted index support, and its normal
    form and [key_of] key, both built only when first needed. *)
@@ -47,7 +34,8 @@ type entry = {
 }
 
 type t = {
-  opts : options;
+  max_age : int;
+  separators : Separator.t list;
   base : Problem.t;
   seen : ident list Support.t;  (* live accepted cuts by support *)
   counters : (string, int ref) Hashtbl.t;  (* per-family naming counter *)
@@ -60,9 +48,10 @@ type t = {
   mutable node_rows_rev : (string * (int * float) list * float * float) list;
 }
 
-let create ?(options = default_options) base =
+let create ~max_age ~separators base =
   {
-    opts = options;
+    max_age;
+    separators;
     base;
     seen = Support.create 64;
     counters = Hashtbl.create 8;
@@ -191,7 +180,7 @@ let select t x cand =
   let accepted = ref [] and count = ref 0 in
   List.iter
     (fun (_, c) ->
-      if !count < t.opts.max_per_round then begin
+      if !count < max_per_round then begin
         let ident = ident_of c in
         if not (seen t ident) then begin
           remember t ident;
@@ -246,7 +235,7 @@ let age_update t x =
 
 let prune t p =
   let keep, drop =
-    List.partition (fun e -> e.age < t.opts.max_age) t.root_entries
+    List.partition (fun e -> e.age < t.max_age) t.root_entries
   in
   if drop = [] then p
   else begin
@@ -270,7 +259,6 @@ let prune t p =
    round's cuts are kept without a further re-solve since they still
    strengthen the branch-and-bound relaxations. *)
 let root_loop ?basis ?deadline ~snk t =
-  let opts = t.opts in
   let lp_stats = ref Simplex.empty_stats and lp_time = ref 0.0 in
   let finish sx =
     lp_stats := Simplex.merge_stats !lp_stats (Simplex.stats sx);
@@ -306,7 +294,7 @@ let root_loop ?basis ?deadline ~snk t =
                 let ctx = { Separator.p; x; sx = Some sx } in
                 List.concat_map
                   (fun s -> Separator.separate s ctx)
-                  opts.separators
+                  t.separators
                 |> select t x)
           in
           if accepted = [] then begin
@@ -320,7 +308,7 @@ let root_loop ?basis ?deadline ~snk t =
             let p' = Problem.extend_rows p (List.map row_of accepted) in
             added := !added + List.length accepted;
             t.root_entries <- t.root_entries @ accepted;
-            if round + 1 >= opts.rounds then begin
+            if round + 1 >= rounds then begin
               finish sx;
               p'
             end
@@ -336,7 +324,7 @@ let root_loop ?basis ?deadline ~snk t =
         p
   in
   let final =
-    if opts.rounds <= 0 || opts.separators = [] then t.base
+    if t.separators = [] then t.base
     else begin
       let sx0 = Simplex.create t.base in
       (* warm restart: a basis cached from a previous solve of the same
@@ -400,7 +388,7 @@ let rows_from t k =
    row sequence to its own LP, so basis snapshots stay exchangeable.
    Returns the new activation count. *)
 let node_separate t p x =
-  let seps = List.filter Separator.bound_free t.opts.separators in
+  let seps = List.filter Separator.bound_free t.separators in
   if seps = [] then Atomic.get t.ncount
   else begin
     let ctx = { Separator.p; x; sx = None } in

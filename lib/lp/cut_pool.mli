@@ -6,29 +6,14 @@
     list through which {!Branch_bound} workers share cuts separated at
     tree nodes. *)
 
-type options = {
-  rounds : int;  (** root separation rounds, default 3 *)
-  max_per_round : int;  (** acceptance cap per separation call, default 50 *)
-  max_age : int;
-      (** consecutive loose root LP solves before a cut is dropped from
-          the LP, default 8; [max_int] disables aging *)
-  separators : Separator.t list;
-}
-
-val default_options : options
-
-val options :
-  ?rounds:int ->
-  ?max_per_round:int ->
-  ?max_age:int ->
-  ?separators:Separator.t list ->
-  unit ->
-  options
-
 type t
 
-val create : ?options:options -> Problem.t -> t
-(** A pool over a base problem (the presolved MIP, cut-free). *)
+val create :
+  max_age:int -> separators:Separator.t list -> Problem.t -> t
+(** A pool over a base problem (the presolved MIP, cut-free) that
+    separates with [separators]. A root cut left loose for [max_age]
+    consecutive root LP solves is dropped from the LP; [max_int]
+    disables aging. *)
 
 type root_stats = {
   added : int;  (** cuts accepted across all root rounds *)
@@ -58,7 +43,7 @@ val root_loop :
 (** The root cutting-plane loop: solve the relaxation, separate with
     every configured family, accept the best-scoring fresh cuts,
     re-solve warm via [Simplex.create_from ~prefer_dual], repeat up to
-    [rounds]. Cuts left loose for [max_age] consecutive solves are
+    a fixed round count. Cuts left loose for [max_age] consecutive solves are
     dropped before the strengthened problem is returned (their hashes
     are forgotten so they may be rediscovered later). Single-threaded;
     call before spawning workers.

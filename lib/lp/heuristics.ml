@@ -20,13 +20,6 @@ type result = {
       (* the first optimum, before any dive fixing: the tree's root *)
 }
 
-let internal_obj (p : Problem.t) x =
-  let acc = ref p.Problem.obj_const in
-  for j = 0 to p.Problem.ncols - 1 do
-    acc := !acc +. (p.Problem.obj.(j) *. x.(j))
-  done;
-  !acc
-
 (* Equality rows  sum_j x_j = 1  over >= 2 binaries with unit
    coefficients: the GUB structure the diving order exploits. *)
 let gub_rows (p : Problem.t) =
@@ -44,14 +37,6 @@ let gub_rows (p : Problem.t) =
     end
   done;
   !rows
-
-let int_vars (p : Problem.t) =
-  List.filter
-    (fun j ->
-      match p.Problem.kind.(j) with
-      | Problem.Integer | Problem.Binary -> true
-      | Problem.Continuous -> false)
-    (Mm_util.Ints.range p.Problem.ncols)
 
 (* GUB-aware rounding of a fractional point: one winner (largest value,
    lowest index on ties) per GUB row, remaining integer variables to
@@ -109,7 +94,7 @@ let run ?basis ?deadline ~snk (p : Problem.t) =
   if Problem.num_integer p = 0 then none
   else begin
     let gubs = gub_rows p in
-    let ints = int_vars p in
+    let ints = Problem.integer_columns p in
     let sx = Simplex.create p in
     Option.iter (Simplex.restore_basis sx) basis;
     Simplex.set_trace sx snk;
@@ -125,7 +110,7 @@ let run ?basis ?deadline ~snk (p : Problem.t) =
       match round_point p ~gubs ~ints x with
       | None -> ()
       | Some r -> (
-          let obj = internal_obj p r in
+          let obj = Problem.internal_objective p r in
           match !best with
           | Some (_, b) when b <= obj -> ()
           | _ -> best := Some (r, obj))

@@ -48,12 +48,22 @@ let row_activity p x r =
   done;
   !acc
 
-let objective_value p x =
+let integer_columns p =
+  List.filter
+    (fun j ->
+      match p.kind.(j) with Integer | Binary -> true | Continuous -> false)
+    (Mm_util.Ints.range p.ncols)
+
+let internal_objective p x =
   let acc = ref p.obj_const in
   for j = 0 to p.ncols - 1 do
     acc := !acc +. (p.obj.(j) *. x.(j))
   done;
-  if p.maximize_input then -. !acc else !acc
+  !acc
+
+let objective_value p x =
+  let v = internal_objective p x in
+  if p.maximize_input then -.v else v
 
 let max_violation p x =
   let viol = ref 0.0 in

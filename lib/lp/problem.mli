@@ -51,6 +51,13 @@ val nnz : t -> int
 val row_activity : t -> float array -> int -> float
 (** [row_activity p x r] is the value of row [r] under assignment [x]. *)
 
+val integer_columns : t -> int list
+(** Columns of kind [Integer] or [Binary], ascending. *)
+
+val internal_objective : t -> float array -> float
+(** Objective under assignment [x] in the internal minimization sense,
+    [obj_const] included. *)
+
 val objective_value : t -> float array -> float
 (** Objective under assignment [x], in the user's sense (negated back when
     the input was a maximization). *)

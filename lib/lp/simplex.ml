@@ -1131,7 +1131,6 @@ let duals t =
   compute_duals t t.cost;
   Array.copy t.y
 
-let iterations t = t.niter
 
 let stats t =
   {

@@ -136,9 +136,6 @@ val duals : t -> float array
 (** Row dual multipliers at the final basis, computed fresh like
     {!reduced_costs}. *)
 
-val iterations : t -> int
-(** Total pivots performed since creation, bound flips included. *)
-
 val stats : t -> stats
 (** Cumulative instrumentation counters since creation. *)
 

@@ -4,9 +4,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type options = {
   presolve : bool;
-  cuts : bool;
-  cut_rounds : int;
-  max_cuts_per_round : int;
   cut_max_age : int;
   separators : Separator.t list;
   heuristics : bool;
@@ -16,9 +13,6 @@ type options = {
 let default_options =
   {
     presolve = true;
-    cuts = true;
-    cut_rounds = 3;
-    max_cuts_per_round = 50;
     cut_max_age = 8;
     separators = Separator.default;
     heuristics = true;
@@ -26,8 +20,6 @@ let default_options =
   }
 
 let options ?(presolve = default_options.presolve)
-    ?(cuts = default_options.cuts) ?(cut_rounds = default_options.cut_rounds)
-    ?(max_cuts_per_round = default_options.max_cuts_per_round)
     ?(cut_max_age = default_options.cut_max_age)
     ?(separators = default_options.separators)
     ?(heuristics = default_options.heuristics) ?trace
@@ -35,16 +27,7 @@ let options ?(presolve = default_options.presolve)
   let bb =
     match trace with None -> bb | Some trace -> { bb with Branch_bound.trace }
   in
-  {
-    presolve;
-    cuts;
-    cut_rounds;
-    max_cuts_per_round;
-    cut_max_age;
-    separators;
-    heuristics;
-    bb;
-  }
+  { presolve; cut_max_age; separators; heuristics; bb }
 
 (* The historical root behavior — knapsack covers only, no node
    separation, no diving, no aging — as a degenerate configuration of
@@ -261,7 +244,6 @@ let verdict_result status p t0 =
     objective = None;
     best_bound = (if p.Problem.maximize_input then -.bound else bound);
     nodes = 0;
-    simplex_iterations = 0;
     time = Unix.gettimeofday () -. t0;
     lp_time = 0.0;
     max_node_lp_time = 0.0;
@@ -342,18 +324,10 @@ let solve ?(options = default_options) ?warm p =
       (* root cutting planes: the pool owns the whole loop (separation,
          dedup, scoring, aging) and afterwards serves node separation *)
       let pool, q, cut_stats =
-        if
-          options.cuts && options.separators <> []
-          && Problem.num_integer q > 0
-        then begin
+        if options.separators <> [] && Problem.num_integer q > 0 then begin
           let pool =
-            Cut_pool.create
-              ~options:
-                (Cut_pool.options ~rounds:options.cut_rounds
-                   ~max_per_round:options.max_cuts_per_round
-                   ~max_age:options.cut_max_age
-                   ~separators:options.separators ())
-              q
+            Cut_pool.create ~max_age:options.cut_max_age
+              ~separators:options.separators q
           in
           let basis =
             match warm with

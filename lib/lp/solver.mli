@@ -5,15 +5,13 @@
 
 type options = {
   presolve : bool;  (** default true *)
-  cuts : bool;  (** master switch for all cutting planes, default true *)
-  cut_rounds : int;  (** root separation rounds, default 3 *)
-  max_cuts_per_round : int;  (** default 50 *)
   cut_max_age : int;
-      (** root-loop activity aging threshold (see {!Cut_pool.options}),
-          default 8; [max_int] disables aging *)
+      (** consecutive loose root LP solves before a root cut is dropped
+          (see {!Cut_pool.create}); [max_int] disables aging *)
   separators : Separator.t list;
       (** cut families to run, default {!Separator.default} (knapsack
-          covers, sequence-lifted covers, Gomory mixed-integer) *)
+          covers, sequence-lifted covers, Gomory mixed-integer); [[]]
+          switches cutting planes off, root and node *)
   heuristics : bool;
       (** GUB diving/rounding incumbent before the tree, default true *)
   bb : Branch_bound.options;
@@ -28,9 +26,6 @@ val default_options : options
 
 val options :
   ?presolve:bool ->
-  ?cuts:bool ->
-  ?cut_rounds:int ->
-  ?max_cuts_per_round:int ->
   ?cut_max_age:int ->
   ?separators:Separator.t list ->
   ?heuristics:bool ->

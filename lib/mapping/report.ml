@@ -228,15 +228,14 @@ let lp_core_summary (r : Mm_lp.Solver.result) =
    is self-describing when flags flip cut families or heuristics. *)
 let solver_config (o : Mm_lp.Solver.options) =
   let seps =
-    if not o.Mm_lp.Solver.cuts then "off"
-    else if o.Mm_lp.Solver.separators = [] then "none"
+    if o.Mm_lp.Solver.separators = [] then "off"
     else
       String.concat "+" (List.map Mm_lp.Separator.name o.Mm_lp.Solver.separators)
   in
   Printf.sprintf
-    "Solver config: cuts=%s rounds=%d max/round=%d max-age=%s node-depth=%d \
-     node-freq=%d heuristics=%s parallelism=%d"
-    seps o.Mm_lp.Solver.cut_rounds o.Mm_lp.Solver.max_cuts_per_round
+    "Solver config: cuts=%s max-age=%s node-depth=%d node-freq=%d \
+     heuristics=%s parallelism=%d"
+    seps
     (if o.Mm_lp.Solver.cut_max_age = max_int then "inf"
      else string_of_int o.Mm_lp.Solver.cut_max_age)
     o.Mm_lp.Solver.bb.Mm_lp.Branch_bound.node_cut_depth

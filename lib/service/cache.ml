@@ -86,10 +86,11 @@ let release t (l : lease) =
 
 (* ---- cross-process persistence ---------------------------------------- *)
 
-(* Version 2: request fingerprints no longer carry the pricing and LU
-   kernel fields, so a version-1 snapshot only holds keys that can never
+(* Version 3: request fingerprints no longer carry the cut-round and
+   per-round cut-cap fields (version 2 dropped the pricing and LU
+   kernel fields), so an older snapshot only holds keys that can never
    hit again. *)
-let file_version = 2
+let file_version = 3
 
 let save t path =
   let module J = Mm_obs.Json in

@@ -3,33 +3,41 @@ open Mm_lp
 type t = {
   parallelism : int;
   cuts : bool;
-  cut_rounds : int;
-  max_cuts_per_round : int;
   heuristics : bool;
   time_limit : float option;
 }
+
+(* Each tree worker is one domain, and [Branch_bound.solve] builds
+   every worker's simplex instance before it spawns any. The OCaml 5
+   runtime allows 128 live domains, shared with the daemon's own
+   worker domains, so one request may ask for at most this many. *)
+let max_parallelism = 32
+
+let check_parallelism n =
+  if n < 0 || n > max_parallelism then
+    Error
+      (Printf.sprintf "knobs: parallelism must lie in 0..%d, got %d"
+         max_parallelism n)
+  else Ok n
 
 let default =
   let s = Solver.default_options in
   let bb = s.Solver.bb in
   {
     parallelism = bb.Branch_bound.parallelism;
-    cuts = s.Solver.cuts;
-    cut_rounds = s.Solver.cut_rounds;
-    max_cuts_per_round = s.Solver.max_cuts_per_round;
+    cuts = s.Solver.separators <> [];
     heuristics = s.Solver.heuristics;
     time_limit = bb.Branch_bound.time_limit;
   }
 
 let make ?(parallelism = default.parallelism) ?(cuts = default.cuts)
-    ?(cut_rounds = default.cut_rounds)
-    ?(max_cuts_per_round = default.max_cuts_per_round)
     ?(heuristics = default.heuristics) ?time_limit () =
-  { parallelism; cuts; cut_rounds; max_cuts_per_round; heuristics; time_limit }
+  { parallelism; cuts; heuristics; time_limit }
 
 let to_solver_options ?trace k =
-  Solver.options ~cuts:k.cuts ~cut_rounds:k.cut_rounds
-    ~max_cuts_per_round:k.max_cuts_per_round ~heuristics:k.heuristics ?trace
+  Solver.options
+    ?separators:(if k.cuts then None else Some [])
+    ~heuristics:k.heuristics ?trace
     ~bb:
       (Branch_bound.options ~parallelism:k.parallelism
          ?time_limit:k.time_limit ())
@@ -42,8 +50,6 @@ let fingerprint_fields k =
   [
     ("parallelism", string_of_int k.parallelism);
     ("cuts", string_of_bool k.cuts);
-    ("cut_rounds", string_of_int k.cut_rounds);
-    ("max_cuts_per_round", string_of_int k.max_cuts_per_round);
     ("heuristics", string_of_bool k.heuristics);
   ]
 
@@ -57,8 +63,6 @@ let to_json k =
     [
       ("parallelism", J.Num (float_of_int k.parallelism));
       ("cuts", J.Bool k.cuts);
-      ("cut_rounds", J.Num (float_of_int k.cut_rounds));
-      ("max_cuts_per_round", J.Num (float_of_int k.max_cuts_per_round));
       ("heuristics", J.Bool k.heuristics);
       ( "time_limit",
         match k.time_limit with None -> J.Null | Some tl -> J.Num tl );
@@ -72,11 +76,6 @@ let fields =
 let of_json j =
   let module J = Mm_obs.Json in
   let err f = Error (Printf.sprintf "knobs: bad %s field" f) in
-  let int f d =
-    match J.member f j with
-    | None -> Ok d
-    | Some v -> ( match J.to_int v with Some n -> Ok n | None -> err f)
-  in
   let boolean f d =
     match J.member f j with
     | None | Some J.Null -> Ok d
@@ -94,12 +93,15 @@ let of_json j =
         | None -> Ok ())
     | _ -> Ok ()
   in
-  let* parallelism = int "parallelism" default.parallelism in
-  let* cuts = boolean "cuts" default.cuts in
-  let* cut_rounds = int "cut_rounds" default.cut_rounds in
-  let* max_cuts_per_round =
-    int "max_cuts_per_round" default.max_cuts_per_round
+  let* parallelism =
+    match J.member "parallelism" j with
+    | None -> Ok default.parallelism
+    | Some v -> (
+        match J.to_int v with
+        | Some n -> check_parallelism n
+        | None -> err "parallelism")
   in
+  let* cuts = boolean "cuts" default.cuts in
   let* heuristics = boolean "heuristics" default.heuristics in
   let* time_limit =
     match J.member "time_limit" j with
@@ -109,5 +111,4 @@ let of_json j =
         | Some tl when tl > 0.0 -> Ok (Some tl)
         | _ -> err "time_limit")
   in
-  Ok
-    { parallelism; cuts; cut_rounds; max_cuts_per_round; heuristics; time_limit }
+  Ok { parallelism; cuts; heuristics; time_limit }

@@ -7,10 +7,11 @@
     read from {!Mm_lp.Solver.default_options}. *)
 
 type t = {
-  parallelism : int;  (** branch-and-bound worker domains *)
-  cuts : bool;  (** master cutting-plane switch *)
-  cut_rounds : int;
-  max_cuts_per_round : int;
+  parallelism : int;
+      (** branch-and-bound worker domains, [0] for all cores; at most
+          {!max_parallelism} *)
+  cuts : bool;
+      (** cutting planes, root and node; [false] runs no separator *)
   heuristics : bool;  (** GUB diving incumbent *)
   time_limit : float option;
       (** wall-clock budget in seconds for the ILP search; the
@@ -20,11 +21,18 @@ type t = {
 
 val default : t
 
+val max_parallelism : int
+(** The largest [parallelism] a request or flag may ask for: every
+    tree worker is a domain, and the runtime's domain limit is shared
+    with the daemon's own workers. *)
+
+val check_parallelism : int -> (int, string) result
+(** [Ok n] when [0 <= n <= max_parallelism], else an error naming the
+    field. {!of_json} and the CLI's [-j] both run it. *)
+
 val make :
   ?parallelism:int ->
   ?cuts:bool ->
-  ?cut_rounds:int ->
-  ?max_cuts_per_round:int ->
   ?heuristics:bool ->
   ?time_limit:float ->
   unit ->
@@ -44,5 +52,6 @@ val to_json : t -> Mm_obs.Json.t
 
 val of_json : Mm_obs.Json.t -> (t, string) result
 (** Decodes a knobs object; absent fields take {!default}s, unknown
-    and malformed fields are errors naming the field. [of_json (to_json
+    and malformed fields, and a [parallelism] outside
+    {!check_parallelism}'s range, are errors naming the field. [of_json (to_json
     k) = Ok k]. *)

@@ -845,8 +845,9 @@ let test_parallel_one_is_deterministic () =
   in
   let a = solve () and b = solve () in
   Alcotest.(check int) "same node count" a.Branch_bound.nodes b.Branch_bound.nodes;
-  Alcotest.(check int) "same pivots" a.Branch_bound.simplex_iterations
-    b.Branch_bound.simplex_iterations;
+  Alcotest.(check int) "same pivots"
+    a.Branch_bound.lp_stats.Simplex.pivots
+    b.Branch_bound.lp_stats.Simplex.pivots;
   Alcotest.(check (option (float 1e-12)))
     "same objective" a.Branch_bound.objective b.Branch_bound.objective
 
@@ -875,7 +876,7 @@ let test_parallel_stats_accounting () =
   in
   Alcotest.(check int) "domains" 3 par.Branch_bound.par.Branch_bound.domains_used;
   Alcotest.(check int) "pivot breakdown sums"
-    par.Branch_bound.simplex_iterations
+    par.Branch_bound.lp_stats.Simplex.pivots
     (Array.fold_left ( + ) 0 par.Branch_bound.par.Branch_bound.domain_pivots);
   match (serial.Branch_bound.objective, par.Branch_bound.objective) with
   | Some a, Some b -> Alcotest.(check (float 1e-6)) "same optimum" a b
@@ -959,7 +960,7 @@ let test_solver_without_presolve_or_cuts () =
       .Solver.mip.Branch_bound.objective
   in
   let no_cuts =
-    (Solver.solve ~options:(Solver.options ~cuts:false ()) p)
+    (Solver.solve ~options:(Solver.options ~separators:[] ()) p)
       .Solver.mip.Branch_bound.objective
   in
   let eq a b =
@@ -1274,9 +1275,15 @@ let knapsack_triple () =
   Model.set_objective m Model.Maximize Expr.(sum [ var x; var y; var z ]);
   Model.to_problem m
 
+(* a pool with the solver's default families and aging *)
+let default_pool p =
+  let o = Solver.default_options in
+  Cut_pool.create ~max_age:o.Solver.cut_max_age ~separators:o.Solver.separators
+    p
+
 let test_cut_pool_dedup_and_naming () =
   let p = knapsack_triple () in
-  let pool = Cut_pool.create p in
+  let pool = default_pool p in
   let frac = [| 0.55; 0.55; 0.55 |] in
   let k1 = Cut_pool.node_separate pool p frac in
   Alcotest.(check bool) "first call accepts cuts" true (k1 > 0);
@@ -1308,7 +1315,8 @@ let test_cut_pool_aging_drops_loose_cuts () =
      the root loop must drop them all and hand back the base problem *)
   let p = knapsack_triple () in
   let pool =
-    Cut_pool.create ~options:(Cut_pool.options ~rounds:1 ~max_age:0 ()) p
+    Cut_pool.create ~max_age:0
+      ~separators:Solver.default_options.Solver.separators p
   in
   let q, st =
     Cut_pool.root_loop ~snk:Mm_obs.Trace.null pool
@@ -1425,7 +1433,7 @@ let prop_separators_match_reference =
       (* the pool's node separation runs both bound-free families and
          accepts through the lazy-key dedup; a second call on the same
          point must find only duplicates *)
-      let pool = Cut_pool.create p in
+      let pool = default_pool p in
       let k1 = Cut_pool.node_separate pool p x in
       let k2 = Cut_pool.node_separate pool p x in
       let accepted =
@@ -1491,9 +1499,8 @@ let test_root_rounds_match_reference () =
           cand
       end in
       let pool =
-        Cut_pool.create
-          ~options:(Cut_pool.options ~separators:[ (module Both) ] ())
-          q
+        Cut_pool.create ~max_age:Solver.default_options.Solver.cut_max_age
+          ~separators:[ (module Both) ] q
       in
       let q', st = Cut_pool.root_loop ~snk:Mm_obs.Trace.null pool in
       Alcotest.(check bool) (Printf.sprintf "point %d separated" i) true (!rounds > 0);
@@ -1539,9 +1546,8 @@ let test_cut_pool_dedup_semantics () =
   let x = [| 0.55; 0.55; 0.55 |] in
   let cuts = ref [] in
   let pool =
-    Cut_pool.create
-      ~options:(Cut_pool.options ~separators:[ fixed_separator cuts ] ())
-      p
+    Cut_pool.create ~max_age:Solver.default_options.Solver.cut_max_age
+      ~separators:[ fixed_separator cuts ] p
   in
   let offer cs =
     cuts := cs;
@@ -1576,11 +1582,7 @@ let test_cut_pool_dedup_semantics () =
     (fun (max_age, reaccepted) ->
       let cuts = ref [ loose ] in
       let pool =
-        Cut_pool.create
-          ~options:
-            (Cut_pool.options ~rounds:2 ~max_age
-               ~separators:[ fixed_separator cuts ] ())
-          p
+        Cut_pool.create ~max_age ~separators:[ fixed_separator cuts ] p
       in
       let q, st = Cut_pool.root_loop ~snk:Mm_obs.Trace.null pool in
       Alcotest.(check int) "root accepted the loose cut" 1 st.Cut_pool.added;

@@ -6,21 +6,25 @@ let qtest ?(count = 100) name gen prop =
     ~rand:(Random.State.make [| 0x5eed; 2026 |])
     (QCheck.Test.make ~count ~name gen prop)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 (* --- generators ------------------------------------------------------------ *)
 
 let knobs_gen =
   QCheck.Gen.(
     let* parallelism = int_range 0 4 in
     let* cuts = bool in
-    let* cut_rounds = int_range 0 5 in
-    let* max_cuts_per_round = int_range 1 100 in
     let* heuristics = bool in
     let* time_limit =
       oneof [ return None; map (fun f -> Some f) (float_range 0.125 8.0) ]
     in
     return
-      (Knobs.make ~parallelism ~cuts ~cut_rounds ~max_cuts_per_round
-         ~heuristics ?time_limit ()))
+      (Knobs.make ~parallelism ~cuts ~heuristics ?time_limit ()))
 
 let knobs_arb = QCheck.make ~print:(fun k -> J.to_string (Knobs.to_json k)) knobs_gen
 
@@ -91,6 +95,29 @@ let prop_knobs_fingerprint_ignores_time_limit =
   qtest "fingerprint_string drops the time limit" knobs_arb (fun k ->
       let k' = { k with Knobs.time_limit = Some 42.0 } in
       Knobs.fingerprint_string k = Knobs.fingerprint_string k')
+
+(* a pure decode: an out-of-range value never reaches a solve, which
+   would build one simplex instance per requested worker *)
+let test_knobs_bound_parallelism () =
+  let decode n =
+    Knobs.of_json (J.Obj [ ("parallelism", J.Num (float_of_int n)) ])
+  in
+  List.iter
+    (fun n ->
+      match decode n with
+      | Ok _ -> Alcotest.failf "parallelism %d accepted" n
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "parallelism %d named in %S" n e)
+            true
+            (contains e "parallelism"))
+    [ 1_000_000; -1; Knobs.max_parallelism + 1 ];
+  List.iter
+    (fun n ->
+      match decode n with
+      | Ok k -> Alcotest.(check int) "decoded" n k.Knobs.parallelism
+      | Error e -> Alcotest.failf "parallelism %d rejected: %s" n e)
+    [ 0; Knobs.max_parallelism ]
 
 let prop_request_roundtrip =
   qtest ~count:40 "Request.of_json (to_json r) round-trips" request_arb
@@ -566,9 +593,10 @@ let test_server_bad_request_echoes_id () =
   ()
 
 let test_server_rejects_unknown_knobs () =
-  (* a client still sending a removed field ([pricing], [lu_kernel]) or
-     a misspelled one must get a bad_request naming it instead of being
-     silently served the default configuration *)
+  (* a client still sending a removed field ([pricing], [lu_kernel],
+     [cut_rounds], [max_cuts_per_round]) or a misspelled one must get a
+     bad_request naming it instead of being silently served the default
+     configuration *)
   let board, design = small_instance () in
   let line knobs =
     match Request.to_json (Request.make ~id:"k" board design) with
@@ -579,13 +607,6 @@ let test_server_rejects_unknown_knobs () =
                 (fun (f, v) -> if f = "knobs" then (f, knobs) else (f, v))
                 kvs))
     | _ -> Alcotest.fail "request does not encode as an object"
-  in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
   in
   let (), _ =
     with_server (fun socket ->
@@ -605,6 +626,8 @@ let test_server_rejects_unknown_knobs () =
             ("pricing", J.Str "devex");
             ("lu_kernel", J.Str "dense");
             ("paralelism", J.Num 2.0);
+            ("cut_rounds", J.Num 3.0);
+            ("max_cuts_per_round", J.Num 50.0);
           ];
         match Client.request ~socket (line (Knobs.to_json Knobs.default)) with
         | Error e -> Alcotest.failf "follow-up request: %s" e
@@ -679,23 +702,23 @@ let test_cache_persistence_rejects_corrupt () =
   in
   check_rejected "garbage" "not json {{{";
   check_rejected "wrong version" {|{"version":99,"entries":[]}|};
-  check_rejected "missing entries" {|{"version":2}|};
+  check_rejected "missing entries" {|{"version":3}|};
   check_rejected "invalid warm state"
-    {|{"version":2,"entries":[{"key":"k","warm":{"solves":-1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|};
+    {|{"version":3,"entries":[{"key":"k","warm":{"solves":-1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|};
   (* a well-formed snapshot of the previous format: its keys were
      fingerprinted with fields that no longer exist *)
   let entries =
     {|"entries":[{"key":"k","warm":{"solves":1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]|}
   in
-  check_rejected "version 1 snapshot" ({|{"version":1,|} ^ entries ^ "}");
+  check_rejected "version 2 snapshot" ({|{"version":2,|} ^ entries ^ "}");
   (* the same entries under the current version do load: the version
      alone turned the snapshot away *)
   with_temp_file (fun file ->
       Out_channel.with_open_text file (fun oc ->
-          output_string oc ({|{"version":2,|} ^ entries ^ "}"));
+          output_string oc ({|{"version":3,|} ^ entries ^ "}"));
       match Cache.load (Cache.create ~capacity:4) file with
-      | Ok n -> Alcotest.(check int) "version 2 entries load" 1 n
-      | Error e -> Alcotest.failf "version 2 snapshot rejected: %s" e)
+      | Ok n -> Alcotest.(check int) "version 3 entries load" 1 n
+      | Error e -> Alcotest.failf "version 3 snapshot rejected: %s" e)
 
 let test_cache_save_load_file_roundtrip () =
   (* save of a loaded cache reproduces the same entries *)
@@ -837,6 +860,8 @@ let () =
         [
           prop_knobs_roundtrip;
           prop_knobs_fingerprint_ignores_time_limit;
+          Alcotest.test_case "knobs bound parallelism" `Quick
+            test_knobs_bound_parallelism;
           prop_request_roundtrip;
           prop_request_fingerprint_canonical;
           prop_fingerprint_tracks_knob_fingerprint;
