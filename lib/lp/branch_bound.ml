@@ -629,12 +629,22 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc ?root_basis
       signal Stop_limit;
       Node_pool.halt pool
   in
-  let helpers =
-    Array.init (nworkers - 1) (fun i ->
-        Domain.spawn (fun () -> run_worker workspaces.(i + 1)))
-  in
+  (* one spawn at a time: when one fails (the runtime's domain limit),
+     the helpers already searching are stopped and joined before the
+     failure propagates, so none outlives this call *)
+  let helpers = ref [] in
+  (try
+     for i = 1 to nworkers - 1 do
+       helpers := Domain.spawn (fun () -> run_worker workspaces.(i)) :: !helpers
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     signal Stop_limit;
+     Node_pool.halt pool;
+     List.iter Domain.join !helpers;
+     Printexc.raise_with_backtrace e bt);
   run_worker workspaces.(0);
-  Array.iter Domain.join helpers;
+  List.iter Domain.join !helpers;
   (* all domains joined: flushing their sinks from here is race-free *)
   if Mm_obs.Trace.enabled options.trace then begin
     let idle = Node_pool.idle_per_worker pool in

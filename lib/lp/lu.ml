@@ -41,7 +41,7 @@ let eta_drop = 1e-13
 
 let dummy_eta = { pos = 0; idx = [||]; vals = [||]; piv = 1.0 }
 
-let factor ~m coliter =
+let factor ~m col =
   (* Working matrix, column-wise with exact entries; rows keep an
      adjacency list that may contain stale (deactivated) columns. *)
   let crow = Array.make m [||] and cval = Array.make m [||] in
@@ -52,20 +52,19 @@ let factor ~m coliter =
   let col_active = Array.make m true and row_active = Array.make m true in
   let bnnz = ref 0 in
   for j = 0 to m - 1 do
-    let n = ref 0 in
-    coliter j (fun _ _ -> incr n);
-    let cr = Array.make (max 4 (2 * !n)) 0 in
-    let cv = Array.make (max 4 (2 * !n)) 0.0 in
-    let w = ref 0 in
-    coliter j (fun i v ->
-        cr.(!w) <- i;
-        cv.(!w) <- v;
-        incr w);
+    let idx, v = col j in
+    let n = Array.length idx in
+    if Array.length v <> n then
+      invalid_arg "Lu.factor: column index/value mismatch";
+    let cr = Array.make (max 4 (2 * n)) 0 in
+    let cv = Array.make (max 4 (2 * n)) 0.0 in
+    Array.blit idx 0 cr 0 n;
+    Array.blit v 0 cv 0 n;
     crow.(j) <- cr;
     cval.(j) <- cv;
-    clen.(j) <- !n;
-    bnnz := !bnnz + !n;
-    for s = 0 to !n - 1 do
+    clen.(j) <- n;
+    bnnz := !bnnz + n;
+    for s = 0 to n - 1 do
       rcnt.(cr.(s)) <- rcnt.(cr.(s)) + 1
     done
   done;
@@ -322,8 +321,15 @@ let factor ~m coliter =
 
 (* ---- triangular and eta passes ---- *)
 
+(* The passes and [update] index without bounds checks. Every index they
+   read comes from [factor]'s own permutations and L/U patterns (built
+   from checked arrays), from an eta vector [update] built, or is below
+   [t.m]; the entry points check the caller's vector lengths and [pos]
+   once per call, so each index stays inside an array of length [t.m]. *)
+
 (* forward L sweep on t.work in place *)
 let l_pass t =
+  let open Unchecked in
   let w = t.work in
   for k = 0 to t.m - 1 do
     let bp = w.(t.perm_row.(k)) in
@@ -337,6 +343,7 @@ let l_pass t =
 
 (* backward U sweep: reads t.work, writes every position of dstv *)
 let u_pass t dstv =
+  let open Unchecked in
   let w = t.work in
   for k = t.m - 1 downto 0 do
     let cs = t.urow_c.(k) and vs = t.urow_v.(k) in
@@ -349,41 +356,48 @@ let u_pass t dstv =
 
 (* forward eta sweep on a position-indexed vector in place *)
 let eta_pass_ftran t dstv =
+  let open Unchecked in
   for e = 0 to t.neta - 1 do
     let eta = t.etas.(e) in
+    let idx = eta.idx and vals = eta.vals in
     let xt = dstv.(eta.pos) /. eta.piv in
     if xt <> 0.0 then
-      for s = 0 to Array.length eta.idx - 1 do
-        dstv.(eta.idx.(s)) <- dstv.(eta.idx.(s)) -. (eta.vals.(s) *. xt)
+      for s = 0 to Array.length idx - 1 do
+        dstv.(idx.(s)) <- dstv.(idx.(s)) -. (vals.(s) *. xt)
       done;
     dstv.(eta.pos) <- xt
   done
 
 (* reverse eta sweep on a position-indexed vector in place *)
 let eta_pass_btran t c =
+  let open Unchecked in
   for e = t.neta - 1 downto 0 do
     let eta = t.etas.(e) in
+    let idx = eta.idx and vals = eta.vals in
     let acc = ref c.(eta.pos) in
-    for s = 0 to Array.length eta.idx - 1 do
-      acc := !acc -. (eta.vals.(s) *. c.(eta.idx.(s)))
+    for s = 0 to Array.length idx - 1 do
+      acc := !acc -. (vals.(s) *. c.(idx.(s)))
     done;
     c.(eta.pos) <- !acc /. eta.piv
   done
 
 (* forward U^T sweep: reads the position-indexed c, writes every row of z *)
 let ut_pass t c z =
+  let open Unchecked in
+  let perm_row = t.perm_row in
   for k = 0 to t.m - 1 do
     let q = t.perm_col.(k) in
     let acc = ref c.(q) in
     let uk = t.ucol_k.(q) and uv = t.ucol_v.(q) in
     for s = 0 to Array.length uk - 1 do
-      acc := !acc -. (uv.(s) *. z.(t.perm_row.(uk.(s))))
+      acc := !acc -. (uv.(s) *. z.(perm_row.(uk.(s))))
     done;
-    z.(t.perm_row.(k)) <- !acc /. t.udiag.(k)
+    z.(perm_row.(k)) <- !acc /. t.udiag.(k)
   done
 
 (* backward L^T sweep on the row-indexed z in place *)
 let lt_pass t z =
+  let open Unchecked in
   for k = t.m - 1 downto 0 do
     let li = t.lrow_i.(k) and lv = t.lrow_v.(k) in
     let p = t.perm_row.(k) in
@@ -396,7 +410,19 @@ let lt_pass t z =
 
 (* ---- solves ---- *)
 
+let check_vec fn t what a =
+  if Array.length a <> t.m then
+    invalid_arg
+      (Printf.sprintf "Lu.%s: %s has length %d, expected %d" fn what
+         (Array.length a) t.m)
+
+let check_pos fn t pos =
+  if pos < 0 || pos >= t.m then
+    invalid_arg (Printf.sprintf "Lu.%s: pos %d outside 0..%d" fn pos (t.m - 1))
+
 let ftran t ~src ~dst =
+  check_vec "ftran" t "src" src;
+  check_vec "ftran" t "dst" dst;
   Array.blit src 0 t.work 0 t.m;
   l_pass t;
   u_pass t dst;
@@ -409,6 +435,8 @@ let btran_work t dst =
   lt_pass t dst
 
 let btran t ~src ~dst =
+  check_vec "btran" t "src" src;
+  check_vec "btran" t "dst" dst;
   Array.blit src 0 t.work 0 t.m;
   btran_work t dst
 
@@ -416,11 +444,16 @@ let btran t ~src ~dst =
    the squared norm of this row as the exact reference weight of the
    leaving row, so the solver can detect approximation drift. *)
 let btran_unit t ~pos ~dst =
+  check_pos "btran_unit" t pos;
+  check_vec "btran_unit" t "dst" dst;
   Array.fill t.work 0 t.m 0.0;
   t.work.(pos) <- 1.0;
   btran_work t dst
 
 let update t ~pos ~alpha =
+  check_pos "update" t pos;
+  check_vec "update" t "alpha" alpha;
+  let open Unchecked in
   let piv = alpha.(pos) in
   if Float.abs piv < abs_tol then raise Singular;
   let n = ref 0 in

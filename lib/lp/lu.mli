@@ -8,6 +8,9 @@
     product-form eta vectors appended by {!update}; {!ftran}/{!btran}
     apply the LU solve plus the eta file as dense sweeps.
 
+    The solves and {!update} check their vectors' lengths and [pos] once
+    per call and then run their loops without bounds checks.
+
     Vector index conventions: [ftran] maps a row-indexed right-hand
     side to a basis-position-indexed solution ([x = B^-1 b]); [btran]
     maps a basis-position-indexed right-hand side to a row-indexed
@@ -20,20 +23,24 @@ exception Singular
 
 type t
 
-val factor : m:int -> (int -> (int -> float -> unit) -> unit) -> t
-(** [factor ~m coliter] factors the [m]x[m] basis whose column at basis
-    position [k] is enumerated by [coliter k f] as [f row value].
-    Raises {!Singular} when elimination stalls. *)
+val factor : m:int -> (int -> int array * float array) -> t
+(** [factor ~m col] factors the [m]x[m] basis whose column at basis
+    position [k] is [col k = (rows, values)], two arrays of one length
+    (read, not kept). Raises {!Singular} when elimination stalls, and
+    [Invalid_argument] on a row index outside [0..m-1] or arrays of
+    different lengths. *)
 
 val ftran : t -> src:float array -> dst:float array -> unit
 (** [ftran t ~src ~dst] solves [B x = src]; [src] is row-indexed and
     left unchanged, [dst] receives [x] indexed by basis position.
-    [src] and [dst] must be distinct arrays of length [m]. *)
+    [src] and [dst] must be distinct arrays of length [m]; a length
+    other than [m] raises [Invalid_argument]. *)
 
 val btran : t -> src:float array -> dst:float array -> unit
 (** [btran t ~src ~dst] solves [B^T y = src]; [src] is indexed by basis
     position and left unchanged, [dst] receives [y] indexed by row.
-    [src] and [dst] must be distinct arrays of length [m]. *)
+    [src] and [dst] must be distinct arrays of length [m]; a length
+    other than [m] raises [Invalid_argument]. *)
 
 val btran_unit : t -> pos:int -> dst:float array -> unit
 (** [btran_unit t ~pos ~dst] solves [B^T y = e_pos], i.e. extracts row
@@ -42,13 +49,16 @@ val btran_unit : t -> pos:int -> dst:float array -> unit
     position [pos]; the simplex dual Devex pricing uses it both for
     pivot-row pricing and to detect reference-weight drift. Uses an
     internal scratch for the right-hand side, so [dst] may be any
-    length-[m] array distinct from the internals. *)
+    length-[m] array distinct from the internals. Raises
+    [Invalid_argument] when [pos] is outside [0..m-1] or [dst] is not
+    of length [m]. *)
 
 val update : t -> pos:int -> alpha:float array -> unit
 (** [update t ~pos ~alpha] records the basis exchange that replaces the
     column at basis position [pos], where [alpha = B^-1 a_entering] (a
     fresh {!ftran} result). Raises {!Singular} when [alpha.(pos)] is
-    too small to pivot on. *)
+    too small to pivot on, and [Invalid_argument] when [pos] is outside
+    [0..m-1] or [alpha] is not of length [m]. *)
 
 val eta_count : t -> int
 (** Number of eta vectors accumulated since the factorization. *)

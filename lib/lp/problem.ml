@@ -94,14 +94,20 @@ let is_feasible ?(tol = 1e-6) p x =
 
 let validate p =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let check_sorted what (idx, v) limit =
-    if Array.length idx <> Array.length v then err "%s: index/value mismatch" what
+  (* [what] and [i] name the vector only in an error: a clean pass
+     formats nothing *)
+  let check_sorted what i (idx, v) limit =
+    if Array.length idx <> Array.length v then
+      err "%s %d: index/value mismatch" what i
     else
       let ok = ref (Ok ()) in
       for k = 0 to Array.length idx - 1 do
-        if idx.(k) < 0 || idx.(k) >= limit then ok := err "%s: index out of range" what;
-        if k > 0 && idx.(k) <= idx.(k - 1) then ok := err "%s: unsorted indices" what;
-        if not (Float.is_finite v.(k)) then ok := err "%s: non-finite coefficient" what
+        if idx.(k) < 0 || idx.(k) >= limit then
+          ok := err "%s %d: index out of range" what i;
+        if k > 0 && idx.(k) <= idx.(k - 1) then
+          ok := err "%s %d: unsorted indices" what i;
+        if not (Float.is_finite v.(k)) then
+          ok := err "%s %d: non-finite coefficient" what i
       done;
       !ok
   in
@@ -143,7 +149,7 @@ let validate p =
         let bad = ref (Ok ()) in
         Array.iteri
           (fun j col ->
-            match check_sorted (Printf.sprintf "col %d" j) col p.nrows with
+            match check_sorted "col" j col p.nrows with
             | Ok () -> ()
             | e -> bad := e)
           p.cols;
@@ -152,7 +158,7 @@ let validate p =
         let bad = ref (Ok ()) in
         Array.iteri
           (fun r row ->
-            match check_sorted (Printf.sprintf "row %d" r) row p.ncols with
+            match check_sorted "row" r row p.ncols with
             | Ok () -> ()
             | e -> bad := e)
           p.rows;

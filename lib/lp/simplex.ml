@@ -188,6 +188,7 @@ type t = {
   cost : float array;
   lb : float array;
   ub : float array;
+  slack_cols : (int array * float array) array; (* column -e_r of slack r *)
   basis : int array;
   loc : int array;
   mutable lu : Lu.t;
@@ -249,12 +250,24 @@ let tock t ph h0 =
 
 (* --- column access ---------------------------------------------------- *)
 
-let col_iter t j f =
-  if j < t.n then Problem.col_iter t.p j f else f (j - t.n) (-1.0)
+(* The kernels from here to the accessors index without bounds checks
+   ([let open Unchecked in]). Their indices are safe by construction:
+   [create] rejects a problem whose column or row indices leave
+   0..m-1 / 0..n-1 (Problem.validate); every per-variable array has
+   length nt and every per-row or per-position array length m; [basis]
+   holds distinct variables below nt and [loc] positions below m,
+   which every writer keeps: the slack basis, [create_from], the pivots
+   themselves and [restore_basis], whose imported snapshots
+   {!basis_import} validated. The solve-result arrays are filled by
+   {!Lu}, which checks their lengths per call. Each kernel visits a
+   solve result's nonzeros in ascending index order, which fixes the
+   tie-breaking of the ratio test, the step, the weight updates and the
+   pivot row. *)
 
 (* y . A_j, summed in ascending row order from 0.0 (the slack column
    -e_r gives 0.0 - y_r) *)
-let dot_col t y j =
+let[@inline] dot_col t y j =
+  let open Unchecked in
   if j < t.n then begin
     let idx, a = t.p.Problem.cols.(j) in
     let acc = ref 0.0 in
@@ -265,30 +278,38 @@ let dot_col t y j =
   end
   else 0.0 -. y.(j - t.n)
 
-(* Calls [f i v] for each nonzero [v = a.(i)] in ascending [i]: the
-   order in which the ratio test, the step, the weight updates and the
-   pivot row visit a solve result, which fixes their tie-breaking. *)
-let iter_nonzero a f =
-  for i = 0 to Array.length a - 1 do
-    let v = a.(i) in
-    if v <> 0.0 then f i v
-  done
-
 (* Records the nonzero share of a solve result, in permille, into a
    density histogram; the count is only taken under an active trace. *)
 let record_density t h v =
   if Mm_obs.Trace.active t.tr then begin
     let nz = ref 0 in
-    iter_nonzero v (fun _ _ -> incr nz);
+    for i = 0 to Array.length v - 1 do
+      if v.(i) <> 0.0 then incr nz
+    done;
     Mm_obs.Trace.hist_add h (Int64.of_int (1000 * !nz / max 1 t.m))
   end
 
-(* alpha := B^-1 A_j *)
+(* alpha := B^-1 A_j; the slack column -e_r loads -1.0 into row r *)
 let ftran t j =
+  let open Unchecked in
   let h0 = tick t in
-  col_iter t j (fun r a -> t.rhs.(r) <- a);
-  Lu.ftran t.lu ~src:t.rhs ~dst:t.alpha;
-  col_iter t j (fun r _ -> t.rhs.(r) <- 0.0);
+  let rhs = t.rhs in
+  if j < t.n then begin
+    let idx, a = t.p.Problem.cols.(j) in
+    for k = 0 to Array.length idx - 1 do
+      rhs.(idx.(k)) <- a.(k)
+    done;
+    Lu.ftran t.lu ~src:rhs ~dst:t.alpha;
+    for k = 0 to Array.length idx - 1 do
+      rhs.(idx.(k)) <- 0.0
+    done
+  end
+  else begin
+    let r = j - t.n in
+    rhs.(r) <- -1.0;
+    Lu.ftran t.lu ~src:rhs ~dst:t.alpha;
+    rhs.(r) <- 0.0
+  end;
   t.nsolves <- t.nsolves + 1;
   record_density t t.ftran_hist t.alpha;
   tock t ph_ftran h0
@@ -296,6 +317,7 @@ let ftran t j =
 (* --- duals and the pivot row ------------------------------------------- *)
 
 let compute_duals t costs =
+  let open Unchecked in
   let h0 = tick t in
   for k = 0 to t.m - 1 do
     let c = costs.(t.basis.(k)) in
@@ -316,6 +338,7 @@ let compute_duals t costs =
    Called before the basis change, while [t.lu] still factors the
    outgoing basis. *)
 let pivot_row t ip =
+  let open Unchecked in
   let h0 = tick t in
   let prow = t.prow and pmark = t.pmark and pidx = t.pidx in
   for s = 0 to t.pnnz - 1 do
@@ -323,13 +346,15 @@ let pivot_row t ip =
     prow.(v) <- 0.0;
     Bytes.unsafe_set pmark v '\000'
   done;
-  t.pnnz <- 0;
+  let np = ref 0 in
   Lu.btran_unit t.lu ~pos:ip ~dst:t.rho;
   t.nsolves <- t.nsolves + 1;
   record_density t t.btran_hist t.rho;
-  iter_nonzero t.rho (fun r rr ->
-      let idx, a = t.p.Problem.rows.(r) in
-      let np = ref t.pnnz in
+  let rho = t.rho and rows = t.p.Problem.rows in
+  for r = 0 to t.m - 1 do
+    let rr = rho.(r) in
+    if rr <> 0.0 then begin
+      let idx, a = rows.(r) in
       for k = 0 to Array.length idx - 1 do
         let j = idx.(k) in
         if Bytes.unsafe_get pmark j = '\000' then begin
@@ -342,13 +367,17 @@ let pivot_row t ip =
       let s = t.n + r in
       Bytes.unsafe_set pmark s '\001';
       pidx.(!np) <- s;
-      t.pnnz <- !np + 1;
-      prow.(s) <- -.rr);
+      incr np;
+      prow.(s) <- -.rr
+    end
+  done;
+  t.pnnz <- !np;
   tock t ph_btran h0
 
 (* Exact phase-2 reduced costs from fresh duals: the refresh point of
    the maintained [d]. *)
 let refresh_d t =
+  let open Unchecked in
   compute_duals t t.cost;
   let h0 = tick t in
   for v = 0 to t.nt - 1 do
@@ -368,6 +397,7 @@ let refresh_d t =
    support, basic variables included since their [d] is never read;
    then q's reduced cost is 0 and the leaver's -theta. *)
 let update_d t q ip piv =
+  let open Unchecked in
   let theta = t.d.(q) /. piv in
   let d = t.d and prow = t.prow in
   for s = 0 to t.pnnz - 1 do
@@ -383,21 +413,36 @@ let update_d t q ip piv =
 
 (* --- creation and (re)factorization ----------------------------------- *)
 
-let nonbasic_value t v =
+let[@inline] nonbasic_value t v =
+  let open Unchecked in
   match t.loc.(v) with
   | -1 -> t.lb.(v)
   | -2 -> t.ub.(v)
   | -3 -> 0.0
   | _ -> invalid_arg "nonbasic_value: basic"
 
+(* b := -N x_N (the slack column -e_r subtracts -1.0 * x), then
+   x_B := B^-1 b *)
 let compute_basics t =
-  let b = t.bwork in
+  let open Unchecked in
+  let b = t.bwork and cols = t.p.Problem.cols in
   Array.fill b 0 t.m 0.0;
   for v = 0 to t.nt - 1 do
     if t.loc.(v) < 0 then begin
       let x = nonbasic_value t v in
       t.xval.(v) <- x;
-      if x <> 0.0 then col_iter t v (fun r a -> b.(r) <- b.(r) -. (a *. x))
+      if x <> 0.0 then
+        if v < t.n then begin
+          let idx, a = cols.(v) in
+          for k = 0 to Array.length idx - 1 do
+            let r = idx.(k) in
+            b.(r) <- b.(r) -. (a.(k) *. x)
+          done
+        end
+        else begin
+          let r = v - t.n in
+          b.(r) <- b.(r) -. (-1.0 *. x)
+        end
     end
   done;
   Lu.ftran t.lu ~src:b ~dst:t.beta;
@@ -419,7 +464,9 @@ let reset_to_slack_basis t =
   done
 
 let factor_current t =
-  Lu.factor ~m:t.m (fun k f -> col_iter t t.basis.(k) f)
+  Lu.factor ~m:t.m (fun k ->
+      let j = t.basis.(k) in
+      if j < t.n then t.p.Problem.cols.(j) else t.slack_cols.(j - t.n))
 
 let refactor t =
   let h0 = tick t in
@@ -438,6 +485,9 @@ let refactor t =
 let refactorize = refactor
 
 let create p =
+  (match Problem.validate p with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Simplex.create: " ^ e));
   let n = p.Problem.ncols and m = p.Problem.nrows in
   let nt = n + m in
   let lb = Array.make nt 0.0 and ub = Array.make nt 0.0 in
@@ -447,6 +497,8 @@ let create p =
   Array.blit p.Problem.row_ub 0 ub n m;
   let cost = Array.make nt 0.0 in
   Array.blit p.Problem.obj 0 cost 0 n;
+  let minus_one = [| -1.0 |] in
+  let slack_cols = Array.init m (fun r -> ([| r |], minus_one)) in
   let wsize =
     max 8 (min nt (8 + (4 * int_of_float (Float.sqrt (float_of_int nt)))))
   in
@@ -459,10 +511,11 @@ let create p =
       cost;
       lb;
       ub;
+      slack_cols;
       basis = Array.make m 0;
       loc = Array.make nt (-1);
       (* slack basis: column at position k is -e_k *)
-      lu = Lu.factor ~m (fun k f -> f k (-1.0));
+      lu = Lu.factor ~m (fun k -> slack_cols.(k));
       xval = Array.make nt 0.0;
       niter = 0;
       phase1_iters = 0;
@@ -552,6 +605,7 @@ let create_from prev p' =
    dual phase; in phase 1 priced on demand against the phase-1 costs,
    assuming t.y holds their duals. *)
 let[@inline] reduced_cost t v =
+  let open Unchecked in
   if t.d_live then t.d.(v)
   else begin
     t.ncols_priced <- t.ncols_priced + 1;
@@ -561,7 +615,8 @@ let[@inline] reduced_cost t v =
 (* Entering direction of nonbasic [v] at reduced cost [d]: 1 when it
    enters increasing from its lower bound, -1 when it enters decreasing
    from its upper bound, 0 when it does not price out. *)
-let direction t v d =
+let[@inline] direction t v d =
+  let open Unchecked in
   match t.loc.(v) with
   | -1 -> if d < -.opt_tol && t.ub.(v) > t.lb.(v) then 1 else 0
   | -2 -> if d > opt_tol && t.ub.(v) > t.lb.(v) then -1 else 0
@@ -580,6 +635,12 @@ let price_bland t =
   in
   scan 0
 
+(* Whether score [sc] of [v] replaces the best so far: higher by more
+   than the tie window, or within it at a lower index. *)
+let[@inline] devex_beats v sc ~best ~best_score =
+  let tie = tols.price_tie *. best_score in
+  sc > best_score +. tie || (v < best && sc >= best_score -. tie)
+
 (* Devex pricing over the candidate window: re-price only the window,
    keep the members that still price out, and pick the best d^2/w
    score. Scores within [tols.price_tie] of the best tie and go to the
@@ -591,57 +652,60 @@ let price_bland t =
    the only place optimality may be declared, so partial pricing can
    never terminate early on a stale window. *)
 let price_devex t =
-  let best = ref (-1) and best_score = ref 0.0 and best_sigma = ref 1.0 in
-  (* scores [v] when it is nonbasic and prices out; says whether it did *)
-  let consider v =
-    t.loc.(v) < 0
-    &&
-    let d = reduced_cost t v in
-    let sigma = direction t v d in
-    sigma <> 0
-    && begin
-         let sc = d *. d /. t.dw.(v) in
-         let tie = tols.price_tie *. !best_score in
-         if sc > !best_score +. tie || (v < !best && sc >= !best_score -. tie)
-         then begin
-           best := v;
-           best_score := sc;
-           best_sigma := float_of_int sigma
-         end;
-         true
-       end
-  in
+  let open Unchecked in
+  let loc = t.loc and dw = t.dw and cand = t.cand in
+  let best = ref (-1) and best_score = ref 0.0 and best_sigma = ref 0 in
+  (* window pass: score each member that is nonbasic and prices out,
+     and keep only those *)
   let keep = ref 0 in
   for s = 0 to t.ncand - 1 do
-    let v = t.cand.(s) in
-    if consider v then begin
-      t.cand.(!keep) <- v;
-      incr keep
+    let v = cand.(s) in
+    if loc.(v) < 0 then begin
+      let d = reduced_cost t v in
+      let sigma = direction t v d in
+      if sigma <> 0 then begin
+        let sc = d *. d /. dw.(v) in
+        if devex_beats v sc ~best:!best ~best_score:!best_score then begin
+          best := v;
+          best_score := sc;
+          best_sigma := sigma
+        end;
+        cand.(!keep) <- v;
+        incr keep
+      end
     end
   done;
   t.ncand <- !keep;
-  if !best >= 0 then Some (!best, !best_sigma)
-  else begin
+  if !best < 0 then begin
+    (* rebuild pass: the same scoring over a full rotating scan, until
+       the window is full again *)
     t.ncand <- 0;
     let start = t.scan_from in
     let scanned = ref 0 in
-    (try
-       while !scanned < t.nt do
-         let v = start + !scanned in
-         let v = if v >= t.nt then v - t.nt else v in
-         incr scanned;
-         if consider v then begin
-           t.cand.(t.ncand) <- v;
-           t.ncand <- t.ncand + 1;
-           if t.ncand >= t.wsize then raise Exit
-         end
-       done
-     with Exit -> ());
+    while !scanned < t.nt && t.ncand < t.wsize do
+      let v = start + !scanned in
+      let v = if v >= t.nt then v - t.nt else v in
+      incr scanned;
+      if loc.(v) < 0 then begin
+        let d = reduced_cost t v in
+        let sigma = direction t v d in
+        if sigma <> 0 then begin
+          let sc = d *. d /. dw.(v) in
+          if devex_beats v sc ~best:!best ~best_score:!best_score then begin
+            best := v;
+            best_score := sc;
+            best_sigma := sigma
+          end;
+          cand.(t.ncand) <- v;
+          t.ncand <- t.ncand + 1
+        end
+      end
+    done;
     t.scan_from <-
       (let c = start + !scanned in
-       if c >= t.nt then c - t.nt else c);
-    if !best < 0 then None else Some (!best, !best_sigma)
-  end
+       if c >= t.nt then c - t.nt else c)
+  end;
+  if !best < 0 then None else Some (!best, float_of_int !best_sigma)
 
 let price t ~bland =
   let h0 = tick t in
@@ -656,6 +720,7 @@ let price t ~bland =
    reference weight refreshed exactly. A selected weight past the cap
    means the framework has drifted: reset to all ones. *)
 let devex_update t q ip =
+  let open Unchecked in
   let piv = t.alpha.(ip) in
   let wq = Float.max t.dw.(q) 1.0 in
   if wq > devex_weight_cap then begin
@@ -684,6 +749,17 @@ type ratio_outcome =
   | Block of int * float * int (* position, step, new loc for leaver *)
   | NoBlock
 
+(* The bound at which basic variable [bv], moving at rate [d], blocks,
+   as the status it leaves with: -2 at its upper bound, -1 at its lower
+   bound, 0 when it does not block in this direction. *)
+let[@inline] blocking_side t ~phase1 bv d =
+  let open Unchecked in
+  let v = t.xval.(bv) in
+  if phase1 && v > t.ub.(bv) +. feas_tol then if d < 0.0 then -2 else 0
+  else if phase1 && v < t.lb.(bv) -. feas_tol then if d > 0.0 then -1 else 0
+  else if d > 0.0 then -2
+  else -1
+
 (* Harris two-pass ratio test. Pass 1 computes the largest step allowed
    when every blocking bound is relaxed by [tols.harris]; pass 2 picks,
    among the blockers whose strict step fits within that relaxed step,
@@ -694,30 +770,28 @@ type ratio_outcome =
    a basis change. [phase1] relaxes blocking for infeasible basics:
    they only block at the bound they currently violate. *)
 let ratio_test t q sigma ~phase1 =
-  (* blocking bound and leaver status for row [i] moving at rate [d];
-     nan when the row does not block in this direction *)
-  let blocking_bound i d =
-    let bv = t.basis.(i) in
-    let v = t.xval.(bv) and l = t.lb.(bv) and u = t.ub.(bv) in
-    if phase1 && v > u +. feas_tol then
-      if d < 0.0 then (u, -2) else (Float.nan, 0)
-    else if phase1 && v < l -. feas_tol then
-      if d > 0.0 then (l, -1) else (Float.nan, 0)
-    else if d > 0.0 then (u, -2)
-    else (l, -1)
-  in
+  let open Unchecked in
+  let alpha = t.alpha and basis = t.basis and xval = t.xval in
   (* both Harris passes skip alpha's zeros: those rows never block *)
   let tmax_rel = ref infinity in
-  iter_nonzero t.alpha (fun i a ->
+  for i = 0 to t.m - 1 do
+    let a = alpha.(i) in
+    if a <> 0.0 then begin
       let d = -.sigma *. a in
       if Float.abs d > pivot_tol then begin
-        let bound, _ = blocking_bound i d in
-        if Float.is_finite bound then begin
-          let strict = Float.max ((bound -. t.xval.(t.basis.(i))) /. d) 0.0 in
-          let relaxed = strict +. (tols.harris /. Float.abs d) in
-          if relaxed < !tmax_rel then tmax_rel := relaxed
+        let bv = basis.(i) in
+        let side = blocking_side t ~phase1 bv d in
+        if side <> 0 then begin
+          let bound = if side = -2 then t.ub.(bv) else t.lb.(bv) in
+          if Float.is_finite bound then begin
+            let strict = Float.max ((bound -. xval.(bv)) /. d) 0.0 in
+            let relaxed = strict +. (tols.harris /. Float.abs d) in
+            if relaxed < !tmax_rel then tmax_rel := relaxed
+          end
         end
-      end);
+      end
+    end
+  done;
   let bound_gap = t.ub.(q) -. t.lb.(q) in
   if Float.is_finite bound_gap && bound_gap <= !tmax_rel then Flip bound_gap
   else if !tmax_rel = infinity then NoBlock
@@ -726,31 +800,46 @@ let ratio_test t q sigma ~phase1 =
     and leave_loc = ref (-1)
     and bstep = ref 0.0
     and bmag = ref 0.0 in
-    iter_nonzero t.alpha (fun i a ->
+    for i = 0 to t.m - 1 do
+      let a = alpha.(i) in
+      if a <> 0.0 then begin
         let d = -.sigma *. a in
         if Float.abs d > pivot_tol then begin
-          let bound, loc = blocking_bound i d in
-          if Float.is_finite bound then begin
-            let strict = Float.max ((bound -. t.xval.(t.basis.(i))) /. d) 0.0 in
-            if strict <= !tmax_rel +. tie_tol && Float.abs d > !bmag then begin
-              blocker := i;
-              leave_loc := loc;
-              bstep := strict;
-              bmag := Float.abs d
+          let bv = basis.(i) in
+          let side = blocking_side t ~phase1 bv d in
+          if side <> 0 then begin
+            let bound = if side = -2 then t.ub.(bv) else t.lb.(bv) in
+            if Float.is_finite bound then begin
+              let strict = Float.max ((bound -. xval.(bv)) /. d) 0.0 in
+              if strict <= !tmax_rel +. tie_tol && Float.abs d > !bmag
+              then begin
+                blocker := i;
+                leave_loc := side;
+                bstep := strict;
+                bmag := Float.abs d
+              end
             end
           end
-        end);
+        end
+      end
+    done;
     if !blocker < 0 then NoBlock
     else Block (!blocker, Float.min !bstep !tmax_rel, !leave_loc)
   end
 
 let apply_step t q sigma step =
+  let open Unchecked in
   (* move entering by sigma*step, basics by -sigma*alpha*step *)
   if step <> 0.0 then begin
-    t.xval.(q) <- t.xval.(q) +. (sigma *. step);
-    iter_nonzero t.alpha (fun i a ->
-        if Float.abs a > zero_tol then
-          t.xval.(t.basis.(i)) <- t.xval.(t.basis.(i)) -. (sigma *. a *. step))
+    let alpha = t.alpha and basis = t.basis and xval = t.xval in
+    xval.(q) <- xval.(q) +. (sigma *. step);
+    for i = 0 to t.m - 1 do
+      let a = alpha.(i) in
+      if Float.abs a > zero_tol then begin
+        let bv = basis.(i) in
+        xval.(bv) <- xval.(bv) -. (sigma *. a *. step)
+      end
+    done
   end
 
 (* Absorb the exchange at position [ip] into the eta file; refactorize on
@@ -803,6 +892,7 @@ let do_flip t q sigma gap =
 (* --- phases ------------------------------------------------------------ *)
 
 let infeasibility t =
+  let open Unchecked in
   let acc = ref 0.0 in
   for i = 0 to t.m - 1 do
     let v = t.basis.(i) in
@@ -819,12 +909,13 @@ let phase1_inner t limit out_of_time =
     else if infeasibility t <= feas_tol *. float_of_int (t.m + 1) then Optimal
     else begin
       Array.fill t.pcost 0 t.nt 0.0;
-      for i = 0 to t.m - 1 do
-        let v = t.basis.(i) in
-        let x = t.xval.(v) in
-        if x > t.ub.(v) +. feas_tol then t.pcost.(v) <- 1.0
-        else if x < t.lb.(v) -. feas_tol then t.pcost.(v) <- -1.0
-      done;
+      (let open Unchecked in
+       for i = 0 to t.m - 1 do
+         let v = t.basis.(i) in
+         let x = t.xval.(v) in
+         if x > t.ub.(v) +. feas_tol then t.pcost.(v) <- 1.0
+         else if x < t.lb.(v) -. feas_tol then t.pcost.(v) <- -1.0
+       done);
       compute_duals t t.pcost;
       let bland = t.degenerate_streak > 200 in
       match price t ~bland with
@@ -936,6 +1027,7 @@ let is_dual_feasible t =
    and resets the framework on drift. The pivot row drives both the
    ratio test and the update of [d]. *)
 let dual_phase t limit out_of_time =
+  let open Unchecked in
   let exception Numerical_trouble in
   try
     let rec loop () =
@@ -972,7 +1064,10 @@ let dual_phase t limit out_of_time =
           pivot_row t ip;
           let wip =
             let exact = ref 0.0 in
-            iter_nonzero t.rho (fun _ r -> exact := !exact +. (r *. r));
+            for i = 0 to t.m - 1 do
+              let r = t.rho.(i) in
+              if r <> 0.0 then exact := !exact +. (r *. r)
+            done;
             if !exact > devex_drift_factor *. t.drw.(ip) then begin
               (* the reference framework no longer tracks the true
                  row norms: reset it *)
@@ -1023,11 +1118,13 @@ let dual_phase t limit out_of_time =
                ftran, over alpha's nonzeros only *)
             let piv = t.alpha.(ip) in
             let inv2 = 1.0 /. (piv *. piv) in
-            iter_nonzero t.alpha (fun i a ->
-                if i <> ip && Float.abs a > zero_tol then begin
-                  let w = a *. a *. inv2 *. wip in
-                  if w > t.drw.(i) then t.drw.(i) <- w
-                end);
+            for i = 0 to t.m - 1 do
+              let a = t.alpha.(i) in
+              if i <> ip && Float.abs a > zero_tol then begin
+                let w = a *. a *. inv2 *. wip in
+                if w > t.drw.(i) then t.drw.(i) <- w
+              end
+            done;
             t.drw.(ip) <- Float.max (wip *. inv2) 1.0;
             (* the dual step: theta_d = d_q / alpha_r[q], from the row
                the ratio test read *)
@@ -1233,21 +1330,50 @@ let basis_export { b; status } =
   let s = Bytes.map (fun c -> Char.chr (Char.code c + Char.code '0')) status in
   (Array.copy b, Bytes.to_string s)
 
+(* A snapshot is only as consistent as the basis it came from: every
+   entry of [b] a distinct variable that [status] marks basic, and no
+   other variable marked basic. {!restore_basis} relies on that (an
+   unlisted '3' would leave a variable "basic" at no position, never
+   priced again), so an imported one is checked here. *)
 let basis_import ~b ~status =
-  let ok = ref true in
-  String.iter (fun c -> if c < '0' || c > '3' then ok := false) status;
-  if not !ok then Error "basis status has characters outside '0'..'3'"
-  else if String.length status < Array.length b then
-    Error "basis status shorter than the basic-variable array"
-  else
-    Ok
-      {
-        b = Array.copy b;
-        status =
-          Bytes.map
-            (fun c -> Char.chr (Char.code c - Char.code '0'))
-            (Bytes.of_string status);
-      }
+  let nts = String.length status in
+  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  if String.exists (fun c -> c < '0' || c > '3') status then
+    Error "basis status has characters outside '0'..'3'"
+  else begin
+    let listed = Bytes.make nts '\000' in
+    let rec check k =
+      if k = Array.length b then
+        let marked = ref 0 in
+        String.iter (fun c -> if c = '3' then incr marked) status;
+        if !marked = Array.length b then Ok ()
+        else
+          err "basis status marks %d variables basic, the basis lists %d"
+            !marked (Array.length b)
+      else
+        let v = b.(k) in
+        if v < 0 || v >= nts then
+          err "basic variable %d outside 0..%d" v (nts - 1)
+        else if Bytes.get listed v <> '\000' then
+          err "basic variable %d listed twice" v
+        else if status.[v] <> '3' then
+          err "basic variable %d not marked basic in the status" v
+        else begin
+          Bytes.set listed v '\001';
+          check (k + 1)
+        end
+    in
+    Result.map
+      (fun () ->
+        {
+          b = Array.copy b;
+          status =
+            Bytes.map
+              (fun c -> Char.chr (Char.code c - Char.code '0'))
+              (Bytes.of_string status);
+        })
+      (check 0)
+  end
 
 let restore_basis t { b; status } =
   let ms = Array.length b and nts = Bytes.length status in

@@ -91,7 +91,9 @@ val pp_stats : Format.formatter -> stats -> unit
 (** One-line human-readable rendering. *)
 
 val create : Problem.t -> t
-(** Builds solver state with the slack basis. *)
+(** Builds solver state with the slack basis. Raises [Invalid_argument]
+    when {!Problem.validate} rejects the problem: the pivot kernels
+    index its column and row arrays without bounds checks. *)
 
 val create_from : t -> Problem.t -> t
 (** [create_from prev p'] builds solver state for [p'], which must be
@@ -192,11 +194,13 @@ val basis_export : basis -> int array * string
     corrupt the snapshot. *)
 
 val basis_import : b:int array -> status:string -> (basis, string) Stdlib.result
-(** Rebuilds a snapshot from {!basis_export} data. Rejects status
-    strings with characters outside ['0'..'3'] or shorter than [b] —
-    the validation a persisted (possibly hand-edited or truncated)
-    cache file needs before {!restore_basis}'s own dimension guards
-    run. *)
+(** Rebuilds a snapshot from {!basis_export} data. Rejects it unless
+    every status character is in ['0'..'3'], every entry of [b] is a
+    distinct variable index below [String.length status], and the
+    ['3'] characters mark exactly [b]'s entries — the validation a
+    persisted (possibly hand-edited or truncated) cache file needs:
+    {!restore_basis} and the solver's unchecked kernels rely on a
+    snapshot describing a basis. *)
 
 (** {2 Tableau access}
 

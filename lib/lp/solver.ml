@@ -189,6 +189,13 @@ let warm_of_json j =
         in
         let* cols = int_field obj "cols" in
         let* rows = int_field obj "rows" in
+        (* the dimensions are the guard [solve] checks before restoring:
+           they must describe the arrays they guard *)
+        let* () =
+          if Array.length b = rows && String.length status = cols + rows then
+            Ok ()
+          else Error "warm: basis arrays do not match its cols/rows"
+        in
         let* snap =
           Result.map_error (fun e -> "warm: " ^ e)
             (Simplex.basis_import ~b ~status)

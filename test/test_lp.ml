@@ -77,6 +77,38 @@ let solve_lp m =
   let s = Simplex.create p in
   (p, s, Simplex.solve s)
 
+(* [create] validates the index arrays its unchecked kernels read *)
+let test_simplex_create_rejects_bad_indices () =
+  let m = Model.create () in
+  let x = Model.binary m () and y = Model.binary m () in
+  Model.add_le m Expr.(add (var x) (var y)) 5.0;
+  Model.add_ge m Expr.(sub (var x) (var y)) (-1.0);
+  let p = Model.to_problem m in
+  ignore (Simplex.create p);
+  let rejects what p =
+    match Simplex.create p with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "Simplex.create accepted %s" what
+  in
+  let with_col j c =
+    let cols = Array.copy p.Problem.cols in
+    cols.(j) <- c;
+    { p with Problem.cols }
+  in
+  let with_row r c =
+    let rows = Array.copy p.Problem.rows in
+    rows.(r) <- c;
+    { p with Problem.rows }
+  in
+  rejects "a row index past the last row"
+    (with_col 0 ([| 0; 2 |], [| 1.0; 1.0 |]));
+  rejects "a negative row index" (with_col 1 ([| -1; 1 |], [| 1.0; -1.0 |]));
+  rejects "unsorted row indices" (with_col 0 ([| 1; 0 |], [| 1.0; 1.0 |]));
+  rejects "a column index past the last column"
+    (with_row 0 ([| 0; 2 |], [| 1.0; 1.0 |]));
+  rejects "unsorted column indices" (with_row 1 ([| 1; 0 |], [| -1.0; 1.0 |]));
+  rejects "indices without values" (with_col 0 ([| 0; 1 |], [| 1.0 |]))
+
 let test_simplex_known_optimum () =
   (* classic: max 3x+2y st x+y<=4, x+3y<=6 -> (4,0), obj 12 *)
   let m = Model.create () in
@@ -513,8 +545,11 @@ let prop_lu_residuals =
             done;
             !entries)
       in
-      let coliter k f = List.iter (fun (r, v) -> f r v) cols.(k) in
-      match Lu.factor ~m coliter with
+      let col k =
+        ( Array.of_list (List.map fst cols.(k)),
+          Array.of_list (List.map snd cols.(k)) )
+      in
+      match Lu.factor ~m col with
       | exception Lu.Singular -> true (* a legitimately singular draw *)
       | lu ->
           let ok = ref true in
@@ -602,6 +637,34 @@ let prop_lu_residuals =
              check_all ()
            with Lu.Singular -> ());
           !ok)
+
+(* The solves and [update] index unchecked after checking their
+   caller's vectors once per call. *)
+let test_lu_rejects_bad_vectors () =
+  let m = 3 in
+  let lu = Lu.factor ~m (fun k -> ([| k |], [| 2.0 |])) in
+  let v n = Array.make n 1.0 in
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted" what
+  in
+  rejects "ftran short src" (fun () -> Lu.ftran lu ~src:(v 2) ~dst:(v m));
+  rejects "ftran long dst" (fun () -> Lu.ftran lu ~src:(v m) ~dst:(v 4));
+  rejects "btran short src" (fun () -> Lu.btran lu ~src:(v 2) ~dst:(v m));
+  rejects "btran short dst" (fun () -> Lu.btran lu ~src:(v m) ~dst:(v 2));
+  rejects "btran_unit pos m" (fun () -> Lu.btran_unit lu ~pos:m ~dst:(v m));
+  rejects "btran_unit pos -1" (fun () -> Lu.btran_unit lu ~pos:(-1) ~dst:(v m));
+  rejects "btran_unit short dst" (fun () -> Lu.btran_unit lu ~pos:0 ~dst:(v 2));
+  rejects "update pos m" (fun () -> Lu.update lu ~pos:m ~alpha:(v m));
+  rejects "update short alpha" (fun () -> Lu.update lu ~pos:0 ~alpha:(v 2));
+  rejects "factor row index m" (fun () ->
+      ignore
+        (Lu.factor ~m (fun k -> ([| (if k = 1 then m else k) |], [| 2.0 |]))));
+  (* the checks reject nothing valid: B = 2I solves exactly *)
+  let x = v m in
+  Lu.ftran lu ~src:(v m) ~dst:x;
+  Alcotest.(check (array (float 0.0))) "ftran of 2I" (Array.make m 0.5) x
 
 (* --- Presolve -------------------------------------------------------------- *)
 
@@ -976,6 +1039,80 @@ let test_solver_without_presolve_or_cuts () =
    return the verdict with the user-sense bound (an infeasible minimize
    is bounded by +inf, an unbounded one by -inf, both flipped under
    maximize) *)
+(* A persisted warm basis must describe a basis: every listed variable
+   in range and distinct, and exactly those marked basic. Global
+   Table-3 point 0 has a root basis to persist; a corrupt copy must fail
+   to load (at worst it raised out of [Solver.solve], or proved a wrong
+   optimum when the status marked extra variables basic). *)
+let test_solver_rejects_corrupt_warm_basis () =
+  let module J = Mm_obs.Json in
+  let board, design =
+    Mm_workload.Gen.instance
+      (List.hd Mm_workload.Table3.points).Mm_workload.Table3.spec
+  in
+  let p =
+    match Mm_mapping.Global_ilp.build board design with
+    | Ok b -> b.Mm_mapping.Global_ilp.problem
+    | Error e -> Alcotest.fail e
+  in
+  let objective (r : Solver.result) = r.Solver.mip.Branch_bound.objective in
+  let w = Solver.warm () in
+  let cold = Solver.solve ~warm:w p in
+  Alcotest.(check bool) "training kept a basis" true (Solver.warm_has_basis w);
+  let j = Solver.warm_to_json w in
+  (match Solver.warm_of_json j with
+  | Error e -> Alcotest.failf "clean state rejected: %s" e
+  | Ok w' ->
+      let r = Solver.solve ~warm:w' p in
+      Alcotest.(check (option (float 1e-6)))
+        "reloaded basis keeps the optimum" (objective cold) (objective r);
+      Alcotest.(check bool) "reloaded basis applied" true
+        (List.mem "basis" r.Solver.stats.Solver.warm_applied));
+  let basis = Option.get (J.member "basis" j) in
+  let b =
+    match J.member "b" basis with
+    | Some (J.List xs) -> Array.of_list (List.filter_map J.to_int xs)
+    | _ -> Alcotest.fail "no basis array"
+  in
+  let status = Option.get (Option.bind (J.member "status" basis) J.to_str) in
+  let corrupt ~b ~status =
+    let set = function
+      | "b", _ ->
+          let num v = J.Num (float_of_int v) in
+          ("b", J.List (List.map num (Array.to_list b)))
+      | "status", _ -> ("status", J.Str status)
+      | kv -> kv
+    in
+    match (j, basis) with
+    | J.Obj kvs, J.Obj bkvs ->
+        J.Obj
+          (List.map
+             (function
+               | "basis", _ -> ("basis", J.Obj (List.map set bkvs)) | kv -> kv)
+             kvs)
+    | _ -> Alcotest.fail "warm state is not an object"
+  in
+  let rejects what ~b ~status =
+    match Solver.warm_of_json (corrupt ~b ~status) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "warm_of_json accepted %s" what
+  in
+  let with_b k v =
+    let b = Array.copy b in
+    b.(k) <- v;
+    b
+  in
+  let nonbasic = String.index_from status 0 '0' in
+  rejects "a basic variable past the status"
+    ~b:(with_b 0 (String.length status))
+    ~status;
+  rejects "a negative basic variable" ~b:(with_b 0 (-1)) ~status;
+  rejects "a basic variable listed twice" ~b:(with_b 1 b.(0)) ~status;
+  rejects "an extra variable marked basic" ~b
+    ~status:(String.mapi (fun i c -> if i = nonbasic then '3' else c) status);
+  rejects "a status one variable short" ~b
+    ~status:(String.sub status 0 (String.length status - 1))
+
 let test_solver_presolve_verdicts () =
   let solve sense build =
     let m = Model.create () in
@@ -2160,6 +2297,8 @@ let () =
         ] );
       ( "simplex",
         [
+          Alcotest.test_case "create rejects bad indices" `Quick
+            test_simplex_create_rejects_bad_indices;
           Alcotest.test_case "known optimum" `Quick test_simplex_known_optimum;
           Alcotest.test_case "infeasible" `Quick test_simplex_infeasible;
           Alcotest.test_case "unbounded" `Quick test_simplex_unbounded;
@@ -2178,7 +2317,12 @@ let () =
           prop_optimal_primal_within_row_bounds;
           prop_refactorize_preserves_primal;
         ] );
-      ("lu", [ prop_lu_residuals ]);
+      ( "lu",
+        [
+          prop_lu_residuals;
+          Alcotest.test_case "rejects bad vectors" `Quick
+            test_lu_rejects_bad_vectors;
+        ] );
       ( "presolve",
         [
           Alcotest.test_case "fixing" `Quick test_presolve_fixing;
@@ -2207,6 +2351,8 @@ let () =
         [
           Alcotest.test_case "presolve verdicts" `Quick
             test_solver_presolve_verdicts;
+          Alcotest.test_case "corrupt warm basis rejected" `Quick
+            test_solver_rejects_corrupt_warm_basis;
         ] );
       ( "parallel",
         [

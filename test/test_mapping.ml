@@ -872,6 +872,77 @@ let test_fragmentation_metric () =
         (Detailed.fragmentation o.Mapper.mapping = frags - 2)
 
 
+(* --- LP kernel guards ------------------------------------------------------ *)
+
+let table3_instance i =
+  Mm_workload.Gen.instance
+    (List.nth Mm_workload.Table3.points i).Mm_workload.Table3.spec
+
+let test_table3_complete_counts_pinned () =
+  (* The serial tree of complete points 0-4, exactly: a rewrite of an LP
+     kernel that changes one rounding moves some vertex, pivot or tie
+     and with it these counts. (nodes, pivots, flips) per point. *)
+  let pinned =
+    [|
+      (1, 356, 29); (1, 796, 50); (5, 1544, 80); (1, 1370, 76); (5, 1990, 75);
+    |]
+  in
+  Array.iteri
+    (fun i (nodes, pivots, flips) ->
+      let board, design = table3_instance i in
+      match Mapper.run ~method_:Mapper.Complete_flat board design with
+      | Error e -> Alcotest.failf "point %d: %s" i (Mapper.error_to_string e)
+      | Ok o ->
+          let r = o.Mapper.ilp_result in
+          let lp = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp in
+          let check what want got =
+            Alcotest.(check int) (Printf.sprintf "point %d %s" i what) want got
+          in
+          check "nodes" nodes r.Mm_lp.Solver.mip.Mm_lp.Branch_bound.nodes;
+          check "pivots" pivots lp.Mm_lp.Simplex.pivots;
+          check "flips" flips lp.Mm_lp.Simplex.flips)
+    pinned
+
+let test_warm_resolve_allocation () =
+  (* One branch-and-bound style re-solve: complete point 1's LP
+     relaxation, optimal, then its first fractional column fixed at 0
+     and re-solved from that basis. The pivot kernels allocate nothing
+     per nonzero or per column, so minor-heap words per pivot stay near
+     what the eta file and one refactorization need (~430 words);
+     closures or boxed floats in a per-column loop read several
+     thousand. *)
+  let board, design = table3_instance 1 in
+  let p =
+    match Complete_ilp.build board design with
+    | Ok b -> b.Complete_ilp.problem
+    | Error e -> Alcotest.fail e
+  in
+  let module S = Mm_lp.Simplex in
+  let sx = S.create p in
+  Alcotest.(check bool) "root LP optimal" true (S.solve sx = S.Optimal);
+  let x = S.primal sx in
+  let j =
+    let rec first j =
+      if j >= Array.length x then Alcotest.fail "no fractional column"
+      else if x.(j) > 1e-6 && x.(j) < 1.0 -. 1e-6 then j
+      else first (j + 1)
+    in
+    first 0
+  in
+  let lb, _ = S.get_bounds sx j in
+  S.set_bounds sx j lb 0.0;
+  let pivots0 = (S.stats sx).S.pivots in
+  let words0 = Gc.minor_words () in
+  Alcotest.(check bool) "re-solve optimal" true
+    (S.solve ~prefer_dual:true sx = S.Optimal);
+  let words = Gc.minor_words () -. words0 in
+  let pivots = (S.stats sx).S.pivots - pivots0 in
+  Alcotest.(check bool) "re-solve pivots" true (pivots > 0);
+  let per_pivot = words /. float_of_int pivots in
+  if per_pivot > 1500.0 then
+    Alcotest.failf "%.0f minor words per pivot over %d pivots (bound 1500)"
+      per_pivot pivots
+
 let test_global_ilp_through_mps () =
   (* the real global model survives an MPS round trip with its optimum *)
   let board, design =
@@ -1228,6 +1299,13 @@ let () =
           prop_improved_pipeline_legal;
         ] );
       ( "parallel", [ prop_parallel_mapper_equivalent ] );
+      ( "lp_kernels",
+        [
+          Alcotest.test_case "table3 complete counts pinned" `Quick
+            test_table3_complete_counts_pinned;
+          Alcotest.test_case "warm re-solve allocation" `Quick
+            test_warm_resolve_allocation;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "summary parses all table3 points" `Quick

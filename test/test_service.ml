@@ -705,6 +705,24 @@ let test_cache_persistence_rejects_corrupt () =
   check_rejected "missing entries" {|{"version":3}|};
   check_rejected "invalid warm state"
     {|{"version":3,"entries":[{"key":"k","warm":{"solves":-1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|};
+  (* warm bases that describe no basis: 2 columns + 1 row, so "003"
+     with b = [2] is the one consistent shape (loaded below) *)
+  let with_basis b status =
+    Printf.sprintf
+      {|{"version":3,"entries":[{"key":"k","warm":{"solves":1,"orig_cols":2,"orig_rows":1,"basis":{"b":%s,"status":"%s","cols":2,"rows":1},"pseudocosts":null}}]}|}
+      b status
+  in
+  check_rejected "basic variable out of range" (with_basis "[3]" "003");
+  check_rejected "negative basic variable" (with_basis "[-1]" "003");
+  check_rejected "extra variable marked basic" (with_basis "[2]" "303");
+  check_rejected "basis listed twice" (with_basis "[2,2]" "0033");
+  check_rejected "basis wider than its rows" (with_basis "[2]" "0003");
+  with_temp_file (fun file ->
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc (with_basis "[2]" "003"));
+      match Cache.load (Cache.create ~capacity:4) file with
+      | Ok n -> Alcotest.(check int) "a consistent basis loads" 1 n
+      | Error e -> Alcotest.failf "consistent basis rejected: %s" e);
   (* a well-formed snapshot of the previous format: its keys were
      fingerprinted with fields that no longer exist *)
   let entries =
