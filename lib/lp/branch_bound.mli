@@ -86,7 +86,9 @@ val serial_par_stats : par_stats
 
 type incumbent_source =
   | No_incumbent
-  | Heuristic  (** seeded by the pre-tree diving heuristic *)
+  | Heuristic
+      (** seeded before the tree through [?initial]: the diving
+          heuristic's incumbent, or a warm state's carried solution *)
   | Rounding  (** the per-node nearest-integer rounding *)
   | Node_integral  (** a node relaxation solved integral *)
 
@@ -159,7 +161,8 @@ val solve :
   Problem.t ->
   result
 (** [solve ?options ?cuts ?initial p] explores [p]'s tree. [?cuts] is
-    the pool whose {!Cut_pool.root_problem} is [p]; it enables node
+    the pool whose {!Cut_pool.root_loop} (or {!Cut_pool.resume})
+    returned [p]; it enables node
     separation (see {!options.node_cut_depth}). [?initial] is a known
     integer-feasible point with its internal (minimization-sense,
     [obj_const]-inclusive) objective — typically {!Heuristics.run}'s

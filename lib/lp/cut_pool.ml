@@ -41,7 +41,6 @@ type t = {
   counters : (string, int ref) Hashtbl.t;  (* per-family naming counter *)
   accepted : (string, int ref) Hashtbl.t;  (* per-family accepted total *)
   mutable root_entries : entry list;  (* LP row order, after [base]'s rows *)
-  mutable root : Problem.t;  (* base + surviving root cuts *)
   mutable ndropped : int;
   lock : Mutex.t;
   ncount : int Atomic.t;  (* activated node-cut rows, appended after root *)
@@ -57,7 +56,6 @@ let create ~max_age ~separators base =
     counters = Hashtbl.create 8;
     accepted = Hashtbl.create 8;
     root_entries = [];
-    root = base;
     ndropped = 0;
     lock = Mutex.create ();
     ncount = Atomic.make 0;
@@ -214,6 +212,11 @@ type root_stats = {
   last_basis : Simplex.basis option;
 }
 
+let count_families snk t =
+  List.iter
+    (fun (fam, n) -> if n > 0 then Mm_obs.Trace.count snk ("cuts_" ^ fam) n)
+    (by_family t)
+
 (* Activity-based aging: after each root LP solve, a cut row sitting
    strictly inside its bounds gets older; a binding one rejuvenates.
    Entries loose for [max_age] consecutive solves are dropped from the
@@ -340,13 +343,9 @@ let root_loop ?basis ?deadline ~snk t =
   (* dropped rows break the row-prefix relation with the snapshot *)
   if pruned != final then last_basis := None;
   let final = pruned in
-  t.root <- final;
   if (!lp_stats).Simplex.pivots > 0 then
     Mm_obs.Trace.count snk "cut_pivots" (!lp_stats).Simplex.pivots;
-  List.iter
-    (fun (fam, n) ->
-      if n > 0 then Mm_obs.Trace.count snk ("cuts_" ^ fam) n)
-    (by_family t);
+  count_families snk t;
   ( final,
     {
       added = !added;
@@ -358,7 +357,33 @@ let root_loop ?basis ?deadline ~snk t =
       last_basis = !last_basis;
     } )
 
-let root_problem t = t.root
+let root_cuts t = List.map (fun e -> e.cut) t.root_entries
+
+(* A warm resume: the carried cuts become root entries exactly as the
+   loop that found them left them — remembered for dedup, counted per
+   family, named afresh — with no separation and no LP solve. *)
+let resume ~snk t cuts =
+  let accepted =
+    List.map
+      (fun (c : Separator.cut) ->
+        let ident = ident_of c in
+        remember t ident;
+        bump t.accepted c.Separator.family 1;
+        { cut = c; name = fresh_name t c; ident; age = 0 })
+      cuts
+  in
+  t.root_entries <- accepted;
+  count_families snk t;
+  ( Problem.extend_rows t.base (List.map row_of accepted),
+    {
+      added = List.length accepted;
+      dropped = 0;
+      by_family = by_family t;
+      lp = Simplex.empty_stats;
+      lp_time = 0.0;
+      root_basis = None;
+      last_basis = None;
+    } )
 
 (* --- node-side API (thread-safe) ----------------------------------------- *)
 

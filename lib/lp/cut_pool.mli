@@ -53,10 +53,21 @@ val root_loop :
     base problem and the round-0 LP re-optimizes in a handful of
     pivots instead of a cold two-phase solve. *)
 
-val root_problem : t -> Problem.t
-(** The base problem plus surviving root cuts ([root_loop]'s result;
-    the base itself beforehand). Node-cut rows are appended after these
-    rows, in activation order. *)
+val root_cuts : t -> Separator.cut list
+(** The surviving root cuts, in LP row order: after {!root_loop}, the
+    rows its returned problem appends to the base. A warm state carries
+    them to the next solve of the same base problem. *)
+
+val resume :
+  snk:Mm_obs.Trace.sink -> t -> Separator.cut list -> Problem.t * root_stats
+(** [resume ~snk t cuts] stands in for {!root_loop} when [cuts] are the
+    {!root_cuts} of an earlier pool over the same base problem and
+    separators: it registers them as accepted root entries (so node
+    separation deduplicates against them), separates nothing, solves
+    nothing and returns the base extended by them, in order.
+    [added] counts the registered cuts; the LP fields are empty. The
+    caller is responsible for [cuts] being valid for the base: they
+    prove bounds, and nothing here checks them. *)
 
 val by_family : t -> (string * int) list
 (** Live accepted cuts per family, root and node cuts combined. *)
@@ -65,8 +76,9 @@ val dropped : t -> int
 
 (** {2 Node-side API}
 
-    Thread-safe. Workers keep their LP equal to
-    [root_problem + rows 0..k) ] for a private [k], lazily appending
+    Thread-safe. Workers keep their LP equal to the root problem
+    ({!root_loop}'s or {!resume}'s result) plus activation rows
+    [0..k) for a private [k], lazily appending
     rows as the shared activation count grows — the global row order
     makes basis snapshots exchangeable across workers. *)
 

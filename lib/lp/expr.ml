@@ -21,7 +21,35 @@ let scale k e =
 
 let neg e = scale (-1.0) e
 let sub a b = add a (neg b)
-let sum es = List.fold_left add zero es
+
+(* One pass instead of a [Map.union] per operand: every term, stably
+   sorted by variable, then each variable's coefficients added left to
+   right — the additions folding [add] over [es] performs, in its
+   order, so every coefficient comes out bit-identical (a partial sum
+   that hits zero and restarts from the next term gives the same
+   float). *)
+let sum es =
+  let const = List.fold_left (fun acc e -> acc +. e.const) 0.0 es in
+  let terms = List.concat_map (fun e -> Imap.bindings e.terms) es in
+  let rec ascending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  let sorted =
+    if ascending terms then terms
+    else List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) terms
+  in
+  let rec fold acc = function
+    | [] -> acc
+    | (i, c) :: rest ->
+        let rec total c = function
+          | (j, c') :: rest when j = i -> total (c +. c') rest
+          | rest -> (c, rest)
+        in
+        let c, rest = total c rest in
+        fold (if c = 0.0 then acc else Imap.add i c acc) rest
+  in
+  { terms = fold Imap.empty sorted; const }
 
 let add_term e i c =
   if c = 0.0 then e

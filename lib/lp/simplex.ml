@@ -482,8 +482,6 @@ let refactor t =
   tock t ph_refactor h0;
   if t.d_live then refresh_d t
 
-let refactorize = refactor
-
 let create p =
   (match Problem.validate p with
   | Ok () -> ()

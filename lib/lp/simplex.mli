@@ -154,7 +154,7 @@ val flush_trace : t -> unit
     deltas as trace events and reset them; a no-op without an active
     sink. *)
 
-val refactorize : t -> unit
+val refactor : t -> unit
 (** Discard the eta file, factor the current basis from scratch and
     recompute basic values. Exposed for testing (a refactorization must
     not change the primal point) and for callers that want a clean
@@ -184,7 +184,7 @@ val restore_basis : t -> basis -> unit
     the {!create_from} convention. Nonbasic variables whose bound has
     since become infinite are snapped to a valid status. The
     factorization is rebuilt on the next {!solve} (or by an explicit
-    {!refactorize}). *)
+    {!refactor}). *)
 
 val basis_export : basis -> int array * string
 (** Plain-data view of a snapshot for persistence: the basic-variable

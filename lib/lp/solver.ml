@@ -55,55 +55,129 @@ type stats = {
   lp_time : float;
   parallel : Branch_bound.par_stats;
   warm_applied : string list;
+  warm_mismatches : int;
 }
 
 type result = { mip : Branch_bound.result; stats : stats }
 
-(* Warm-start state carried between solves of the same problem: the
-   cached presolve (reduced problem + recovery closure), the pre-cut
-   root optimum's basis and the trained pseudocosts. All components are
-   guarded by dimension checks, so feeding stale state to a different
-   problem degrades to a cold solve instead of corrupting it — but the
-   intended contract is one [warm] per identical problem (the service's
-   cache key). Not thread-safe: lease one warm state to one solve at a
-   time. *)
+(* The root a solve ended with, on the cut-extended reduced problem:
+   the surviving root cuts, the root LP basis the tree started from and
+   the final solution. In memory only: a cut read back from a file
+   could not be checked, and an invalid one proves a wrong optimum. *)
+type root = {
+  r_cuts : Separator.cut list;
+  r_basis : Simplex.basis option;
+  r_solution : float array option;
+}
+
+(* Warm-start state carried between solves of one problem: the cached
+   presolve (reduced problem + recovery closure), the pre-cut root
+   optimum's basis, the trained pseudocosts and the root the last solve
+   ended with. [w_digest] names the problem and options that trained
+   it; [solve] wipes every component on a mismatch before using any.
+   Not thread-safe: lease one warm state to one solve at a time. *)
 type warm = {
+  mutable w_digest : int option;
   mutable w_presolved : (Problem.t * (float array -> float array)) option;
   mutable w_orig_dims : int * int;
   mutable w_basis : Simplex.basis option;
   mutable w_basis_dims : int * int;
   mutable w_pc : Branch_bound.pseudocosts option;
+  mutable w_root : root option;
   mutable w_solves : int;
 }
 
 let warm () =
   {
+    w_digest = None;
     w_presolved = None;
     w_orig_dims = (0, 0);
     w_basis = None;
     w_basis_dims = (0, 0);
     w_pc = None;
+    w_root = None;
     w_solves = 0;
   }
 
 let warm_solves w = w.w_solves
 let warm_has_basis w = w.w_basis <> None
 
-let warm_observations w =
-  match w.w_pc with
-  | None -> 0
-  | Some pc -> Branch_bound.pseudocosts_observations pc
+(* The content guard's key: the original problem's numbers — sizes,
+   objective, bounds, kinds, matrix — and the options that shape what a
+   warm state carries. Names are left out; nothing carried depends on
+   them. A 63-bit multiply-xorshift mix, one step per word. *)
+let digest o (p : Problem.t) =
+  let h = ref 0x2545F4914F6CDD1D in
+  let mix v =
+    let x = (!h lxor v) * 0x1E3779B97F4A7C15 in
+    h := x lxor (x lsr 29)
+  in
+  let mix_float f =
+    let b = Int64.bits_of_float f in
+    mix (Int64.to_int b);
+    mix (Int64.to_int (Int64.shift_right_logical b 32))
+  in
+  let mix_floats = Array.iter mix_float in
+  let mix_bool b = mix (Bool.to_int b) in
+  mix p.Problem.ncols;
+  mix p.Problem.nrows;
+  mix_floats p.Problem.obj;
+  mix_float p.Problem.obj_const;
+  mix_bool p.Problem.maximize_input;
+  mix_floats p.Problem.col_lb;
+  mix_floats p.Problem.col_ub;
+  Array.iter
+    (function
+      | Problem.Continuous -> mix 0
+      | Problem.Integer -> mix 1
+      | Problem.Binary -> mix 2)
+    p.Problem.kind;
+  mix_floats p.Problem.row_lb;
+  mix_floats p.Problem.row_ub;
+  Array.iter
+    (fun (idx, v) ->
+      mix (Array.length idx);
+      Array.iter mix idx;
+      mix_floats v)
+    p.Problem.cols;
+  mix_bool o.presolve;
+  mix o.cut_max_age;
+  List.iter (fun sep -> mix (Hashtbl.hash (Separator.name sep))) o.separators;
+  mix (List.length o.separators);
+  mix_bool o.heuristics;
+  !h land max_int
+
+(* Wipes a warm state whose digest is not [d] and claims it for [d].
+   True when something trained was wiped. *)
+let guard w d =
+  if w.w_digest = Some d then false
+  else begin
+    let fresh = warm () in
+    let trained =
+      w.w_solves > 0 || w.w_presolved <> None || w.w_basis <> None
+      || w.w_pc <> None || w.w_root <> None
+    in
+    w.w_presolved <- fresh.w_presolved;
+    w.w_orig_dims <- fresh.w_orig_dims;
+    w.w_basis <- fresh.w_basis;
+    w.w_basis_dims <- fresh.w_basis_dims;
+    w.w_pc <- fresh.w_pc;
+    w.w_root <- fresh.w_root;
+    w.w_solves <- fresh.w_solves;
+    w.w_digest <- Some d;
+    trained
+  end
 
 (* ---- warm-state persistence ------------------------------------------- *)
 
-(* Everything that is plain data travels: solve count, original
-   dimensions, the root basis (with the reduced-problem dimensions that
-   guard it) and the pseudocost table. The presolve component is a
-   closure (the recovery function) and deliberately does NOT: the first
-   solve after a reload re-runs presolve — deterministic for the
-   identical problem the cache key guarantees — which re-derives the
-   exact reduced dimensions the persisted basis is guarded by, so basis
-   and pseudocosts still apply. *)
+(* Everything that is plain data travels: the digest, solve count,
+   original dimensions, the root basis (with the reduced-problem
+   dimensions that guard it) and the pseudocost table. The presolve
+   component is a closure and the carried root holds cuts, so neither
+   does: the first solve after a reload re-runs presolve and the root
+   cut loop — deterministic for the problem the digest names — which
+   re-derives the exact reduced dimensions the persisted basis is
+   guarded by, so basis and pseudocosts still apply. *)
 let warm_to_json w =
   let module J = Mm_obs.Json in
   let num n = J.Num (float_of_int n) in
@@ -139,14 +213,20 @@ let warm_to_json w =
           ]
   in
   let oc, orows = w.w_orig_dims in
+  let digest =
+    match w.w_digest with
+    | None -> []
+    | Some d -> [ ("digest", J.Str (Printf.sprintf "%016x" d)) ]
+  in
   J.Obj
-    [
+    (digest
+    @ [
       ("solves", num w.w_solves);
       ("orig_cols", num oc);
       ("orig_rows", num orows);
       ("basis", basis);
       ("pseudocosts", pc);
-    ]
+    ])
 
 let warm_of_json j =
   let module J = Mm_obs.Json in
@@ -173,6 +253,17 @@ let warm_of_json j =
         | true -> Ok (Array.of_list fs)
         | false -> Error (Printf.sprintf "warm: %s has non-number entries" f))
     | _ -> Error (Printf.sprintf "warm: missing array %s" f)
+  in
+  (* a state without a digest (written before the guard existed) is
+     wiped by its first solve, like any other mismatch *)
+  let* digest =
+    match J.member "digest" j with
+    | None -> Ok None
+    | Some d -> (
+        let hex h = int_of_string_opt ("0x" ^ h) in
+        match Option.bind (J.to_str d) hex with
+        | Some d when d >= 0 -> Ok (Some d)
+        | _ -> Error "warm: bad digest field")
   in
   let* solves = int_field j "solves" in
   let* orig_cols = int_field j "orig_cols" in
@@ -218,12 +309,14 @@ let warm_of_json j =
   in
   Ok
     {
+      w_digest = digest;
       w_presolved = None;
       w_orig_dims = (orig_cols, orig_rows);
       w_basis = Option.map fst basis;
       w_basis_dims =
         (match basis with Some (_, dims) -> dims | None -> (0, 0));
       w_pc = pc;
+      w_root = None;
       w_solves = solves;
     }
 
@@ -276,6 +369,7 @@ let empty_stats before =
     lp_time = 0.0;
     parallel = Branch_bound.serial_par_stats;
     warm_applied = [];
+    warm_mismatches = 0;
   }
 
 let solve ?(options = default_options) ?warm p =
@@ -285,6 +379,15 @@ let solve ?(options = default_options) ?warm p =
   let t0 = Unix.gettimeofday () in
   let deadline = Option.map (fun tl -> t0 +. tl) bb.Branch_bound.time_limit in
   let before = (p.Problem.ncols, p.Problem.nrows) in
+  (* the content guard: state trained on another problem, or under
+     other options, is wiped before any of it is used *)
+  let warm_mismatches =
+    match warm with
+    | Some w when guard w (digest options p) ->
+        Mm_obs.Trace.count snk "warm_mismatch" 1;
+        1
+    | _ -> 0
+  in
   let warm_applied = ref [] in
   let apply_warm name =
     warm_applied := name :: !warm_applied;
@@ -293,12 +396,9 @@ let solve ?(options = default_options) ?warm p =
   let reduced, recover =
     if options.presolve then begin
       match warm with
-      | Some w when w.w_presolved <> None && w.w_orig_dims = before ->
-          (* same original dimensions as the solve that trained this
-             state — the cache contract says it is the same problem, so
-             the presolve fixpoint is reusable verbatim *)
+      | Some { w_presolved = Some (q, r); _ } ->
+          (* the guard proved this state was trained on [p] *)
           apply_warm "presolve";
-          let q, r = Option.get w.w_presolved in
           (Some (`Problem q), r)
       | _ -> (
           match
@@ -316,58 +416,94 @@ let solve ?(options = default_options) ?warm p =
     end
     else (Some (`Problem p), fun x -> x)
   in
+  let verdict status =
+    {
+      mip = verdict_result status p t0;
+      stats = { (empty_stats before) with warm_mismatches };
+    }
+  in
   match reduced with
-  | None ->
-      {
-        mip = verdict_result Branch_bound.Infeasible p t0;
-        stats = empty_stats before;
-      }
-  | Some `Unbounded ->
-      {
-        mip = verdict_result Branch_bound.Unbounded p t0;
-        stats = empty_stats before;
-      }
+  | None -> verdict Branch_bound.Infeasible
+  | Some `Unbounded -> verdict Branch_bound.Unbounded
   | Some (`Problem q) ->
+      (* the root the last solve of this problem ended with, if any *)
+      let carried = Option.bind warm (fun w -> w.w_root) in
       (* root cutting planes: the pool owns the whole loop (separation,
-         dedup, scoring, aging) and afterwards serves node separation *)
+         dedup, scoring, aging) and afterwards serves node separation;
+         a carried root re-registers its cuts instead *)
       let pool, q, cut_stats =
         if options.separators <> [] && Problem.num_integer q > 0 then begin
           let pool =
             Cut_pool.create ~max_age:options.cut_max_age
               ~separators:options.separators q
           in
-          let basis =
-            match warm with
-            | Some w
-              when w.w_basis <> None
-                   && w.w_basis_dims = (q.Problem.ncols, q.Problem.nrows) ->
-                apply_warm "basis";
-                w.w_basis
-            | _ -> None
-          in
           let q', cs =
-            Mm_obs.Trace.span snk "cuts" (fun () ->
-                Cut_pool.root_loop ?basis ?deadline ~snk pool)
+            match carried with
+            | Some c ->
+                apply_warm "cuts";
+                Mm_obs.Trace.span snk "cuts" (fun () ->
+                    Cut_pool.resume ~snk pool c.r_cuts)
+            | None ->
+                let basis =
+                  match warm with
+                  | Some w
+                    when w.w_basis <> None
+                         && w.w_basis_dims = (q.Problem.ncols, q.Problem.nrows)
+                    ->
+                      apply_warm "basis";
+                      w.w_basis
+                  | _ -> None
+                in
+                let q', cs =
+                  Mm_obs.Trace.span snk "cuts" (fun () ->
+                      Cut_pool.root_loop ?basis ?deadline ~snk pool)
+                in
+                (match (warm, cs.Cut_pool.root_basis) with
+                | Some w, Some b ->
+                    w.w_basis <- Some b;
+                    w.w_basis_dims <- (q.Problem.ncols, q.Problem.nrows)
+                | _ -> ());
+                (q', cs)
           in
-          (match (warm, cs.Cut_pool.root_basis) with
-          | Some w, Some b ->
-              w.w_basis <- Some b;
-              w.w_basis_dims <- (q.Problem.ncols, q.Problem.nrows)
-          | _ -> ());
           (Some pool, q', cs)
         end
         else (None, q, no_cut_stats)
       in
       if cut_stats.Cut_pool.added > 0 then
         Mm_obs.Trace.count snk "cuts_added" cut_stats.Cut_pool.added;
+      (* the carried solution seeds the tree when it is still a feasible
+         integer point of the extended problem; then the dive is skipped *)
+      let resumed =
+        match carried with
+        | Some { r_solution = Some x; _ }
+          when Problem.max_violation q x <= 1e-7
+               && Problem.integer_violation q x <= 1e-6 ->
+            apply_warm "incumbent";
+            Some (x, Problem.internal_objective q x)
+        | _ -> None
+      in
+      let carried_basis = Option.bind carried (fun c -> c.r_basis) in
       (* GUB diving on the strengthened root: an incumbent in O(segments)
          LPs before the tree starts *)
       let heur =
-        if options.heuristics && Problem.num_integer q > 0 then
+        if resumed = None && options.heuristics && Problem.num_integer q > 0
+        then
           Mm_obs.Trace.span snk "heuristic" (fun () ->
-              Heuristics.run ?basis:cut_stats.Cut_pool.last_basis ?deadline
-                ~snk q)
+              let basis =
+                match carried_basis with
+                | Some b -> Some b
+                | None -> cut_stats.Cut_pool.last_basis
+              in
+              Heuristics.run ?basis ?deadline ~snk q)
         else Heuristics.none
+      in
+      let initial =
+        match resumed with Some _ -> resumed | None -> heur.Heuristics.incumbent
+      in
+      let root_basis =
+        match (resumed, heur.Heuristics.root_basis) with
+        | None, Some b -> Some b
+        | _ -> carried_basis
       in
       Log.debug (fun m ->
           m "solving %a (%d cuts)" Problem.pp_stats q cut_stats.Cut_pool.added);
@@ -383,20 +519,34 @@ let solve ?(options = default_options) ?warm p =
       in
       let warm_pc =
         match warm with
-        | Some w when warm_observations w > 0 ->
+        | Some { w_pc = Some pc; _ }
+          when Branch_bound.pseudocosts_observations pc > 0 ->
             apply_warm "pseudocosts";
-            w.w_pc
+            Some pc
         | _ -> None
       in
       let r =
         Mm_obs.Trace.span snk "bb" (fun () ->
-            Branch_bound.solve ~options:bb_options ?cuts:pool
-              ?initial:heur.Heuristics.incumbent ?warm_pc
-              ?root_basis:heur.Heuristics.root_basis q)
+            Branch_bound.solve ~options:bb_options ?cuts:pool ?initial ?warm_pc
+              ?root_basis q)
       in
       (match warm with
       | Some w ->
           w.w_pc <- Some r.Branch_bound.pseudocosts;
+          (* only a finished solve's root is worth resuming: a limit may
+             have cut its cut loop short *)
+          w.w_root <-
+            (if r.Branch_bound.status = Branch_bound.Optimal then
+               Some
+                 {
+                   r_cuts =
+                     (match pool with
+                     | Some cp -> Cut_pool.root_cuts cp
+                     | None -> []);
+                   r_basis = root_basis;
+                   r_solution = r.Branch_bound.solution;
+                 }
+             else None);
           w.w_solves <- w.w_solves + 1
       | None -> ());
       let node_cuts_added =
@@ -440,7 +590,6 @@ let solve ?(options = default_options) ?warm p =
               +. r.Branch_bound.lp_time;
             parallel = r.Branch_bound.par;
             warm_applied = List.rev !warm_applied;
+            warm_mismatches;
           };
       }
-
-let solve_model ?options ?warm m = solve ?options ?warm (Model.to_problem m)

@@ -67,24 +67,40 @@ type stats = {
           stolen, idle seconds, per-domain pivot counts *)
   warm_applied : string list;
       (** warm-start components consumed by this solve, in application
-          order (["presolve"], ["basis"], ["pseudocosts"]); empty on a
-          cold solve *)
+          order: ["presolve"], ["basis"] (the pre-cut root basis),
+          ["cuts"] (the carried root: its cut rows, and the basis on
+          them that the tree's root restores), ["incumbent"] (the
+          carried solution, which replaces the dive) and
+          ["pseudocosts"]; empty on a cold solve *)
+  warm_mismatches : int;
+      (** [1] when the [warm] passed in was trained on another problem
+          or under other options and was wiped, so this solve ran cold;
+          [0] otherwise *)
 }
 
 type result = { mip : Branch_bound.result; stats : stats }
 
 (** {2 Warm-start state}
 
-    Repeat solves of the {e same} problem — the mapping service's
-    workload — can amortize solver state: the presolve fixpoint, the
-    pre-cut root optimum's basis (restored via the same
-    {!Simplex.restore_basis} path the cut loop warm restart uses) and
-    the branching pseudocosts trained by the tree search. A {!warm}
-    value carries all three between solves; {!solve} consumes whatever
-    components match the problem's dimensions and re-trains the state
-    for the next solve. Dimension guards make stale state degrade to a
-    cold solve, but the contract is one [warm] per identical problem
-    (key your cache accordingly). Not thread-safe — lease a [warm] to
+    Repeat solves of the same problem — the mapping service's workload
+    — can amortize solver state: the presolve fixpoint, the pre-cut
+    root optimum's basis (restored via the same
+    {!Simplex.restore_basis} path the cut loop warm restart uses), the
+    branching pseudocosts trained by the tree search, and the root the
+    last solve ended with — its surviving cuts, its root LP basis and
+    its optimal solution. A solve that resumes that root re-registers
+    the cuts instead of separating them ({!Cut_pool.resume}) and, when
+    the solution is still a feasible integer point of the extended
+    problem, seeds the tree with it instead of diving.
+
+    A {!warm} value carries all of this between solves. It is keyed by
+    content: {!solve} digests the problem and the options that shape
+    what is carried ([presolve], [cut_max_age], the separators,
+    [heuristics]) and wipes the state before using any of it when the
+    digest differs from the one that trained it ([stats.warm_mismatches]
+    and the [warm_mismatch] trace count record it), so a state fed to
+    another problem degrades to a cold solve. The digest is computed
+    only when a [warm] is passed. Not thread-safe — lease a [warm] to
     one solve at a time. *)
 
 type warm
@@ -97,23 +113,21 @@ val warm_solves : warm -> int
 
 val warm_has_basis : warm -> bool
 
-val warm_observations : warm -> int
-(** Pseudocost branching observations carried ([0] when untrained). *)
-
 val warm_to_json : warm -> Mm_obs.Json.t
-(** Serializes the plain-data components — solve count, original
-    dimensions, root basis, pseudocosts — for cross-process cache
-    persistence. The presolve component (a recovery closure) is not
-    serializable and is dropped: the first solve after
-    {!warm_of_json} re-runs presolve (deterministic for the identical
-    problem the cache contract guarantees), after which basis and
-    pseudocosts apply exactly as they would in-process. *)
+(** Serializes the plain-data components — digest, solve count,
+    original dimensions, root basis, pseudocosts — for cross-process
+    cache persistence. The presolve component (a recovery closure) and
+    the carried root (whose cuts could not be checked once read back)
+    are dropped: the first solve after {!warm_of_json} re-runs presolve
+    and the root cut loop, after which basis and pseudocosts apply
+    exactly as they would in-process and the root carries again. *)
 
 val warm_of_json : Mm_obs.Json.t -> (warm, string) Stdlib.result
-(** Inverse of {!warm_to_json}, validating array lengths, status
-    characters and count signs so a corrupt or hand-edited file
+(** Inverse of {!warm_to_json}, validating the digest, array lengths,
+    status characters and count signs so a corrupt or hand-edited file
     surfaces as [Error] (the caller degrades to a cold start) rather
-    than undefined solver behavior. *)
+    than undefined solver behavior. A state without a digest loads;
+    its first solve wipes it as a mismatch. *)
 
 val solve : ?options:options -> ?warm:warm -> Problem.t -> result
 (** Solves to proven optimality unless limits are set. The solution in
@@ -122,6 +136,3 @@ val solve : ?options:options -> ?warm:warm -> Problem.t -> result
     warm-start state (see above); [stats.warm_applied] records which
     components were actually used. Warm-started runs may visit a
     different node order than cold runs (same proven objective). *)
-
-val solve_model : ?options:options -> ?warm:warm -> Model.t -> result
-(** [solve_model m] freezes and solves the model. *)

@@ -378,6 +378,8 @@ let to_json t =
                 (List.map
                    (fun n -> J.Str n)
                    stats.Mm_lp.Solver.warm_applied) );
+            ( "warm_mismatches",
+              J.Num (float_of_int stats.Mm_lp.Solver.warm_mismatches) );
           ] );
       ( "fragmentation",
         J.Num (float_of_int (Detailed.fragmentation o.Mapper.mapping)) );

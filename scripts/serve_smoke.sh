@@ -2,8 +2,10 @@
 # End-to-end smoke test of the mmap serve daemon (the CI serve-smoke
 # leg, also runnable locally): generate a workload, start the daemon,
 # fire repeat mapping requests plus control ops, assert every response
-# is valid JSON at one objective with warm-cache hits, shut the daemon
-# down cleanly, and summarize its trace (p50/p99 service latency).
+# is valid JSON at one objective with warm-cache hits that resume the
+# carried root (cuts and incumbent), shut the daemon down cleanly, and
+# summarize its trace (p50/p99 service latency). A restart from the
+# cache file must hit warm but re-separate: cuts are never persisted.
 #
 #   MMAP=...   command to run mmap          (default: dune exec bin/mmap.exe --)
 #   TRACE=...  daemon trace path, kept      (default: <tmpdir>/serve-trace.jsonl)
@@ -45,6 +47,12 @@ hits = sum(r["cache"] == "hit" for r in lines)
 objs = {r["report"]["objective"] for r in lines}
 assert len(objs) == 1, f"objectives diverge across repeats: {objs}"
 assert hits > 0, "no warm-cache hits on repeat requests"
+# a hit's state was trained by a finished solve: it resumes that root
+for r in lines:
+    if r["cache"] == "hit":
+        applied = r["report"]["lp"]["warm_applied"]
+        assert {"cuts", "incumbent"} <= set(applied), \
+            f"hot repeat did not carry the root: {applied}"
 stats = json.load(open(sys.argv[2]))
 assert stats["cache"]["hits"] + stats["cache"]["misses"] == 4, stats
 print(f"serve smoke ok: {hits} warm hits, objective {objs.pop()}")
@@ -79,6 +87,13 @@ for r in lines:
     assert r["status"] == "ok", r
 objs = {r["report"]["objective"] for r in lines}
 assert len(objs) == 1, f"objectives diverge across the burst: {objs}"
+# one worker: the first request trains, every later repeat resumes the
+# root the previous one ended with, at the burst's single objective
+assert [r["cache"] for r in lines] == ["miss"] + ["hit"] * 5, lines
+for r in lines[1:]:
+    applied = r["report"]["lp"]["warm_applied"]
+    assert {"cuts", "incumbent"} <= set(applied), \
+        f"later repeat did not carry the root: {applied}"
 with open(sys.argv[3]) as f:
     base = {json.loads(l)["report"]["objective"] for l in f if l.strip()}
 assert objs == base, f"persistence-leg objective {objs} != first leg {base}"
@@ -116,5 +131,10 @@ with open(sys.argv[2]) as f:
     base = {json.loads(l)["report"]["objective"] for l in f if l.strip()}
 assert r["report"]["objective"] in base, \
     f"post-restart objective {r['report']['objective']} != {base}"
-print(f"restart smoke ok: warm hit with {r['warm_solves']} prior solves")
+# cuts are never persisted: the first hit after a reload re-separates
+applied = r["report"]["lp"]["warm_applied"]
+assert "cuts" not in applied, f"reloaded state carried cuts: {applied}"
+assert r["report"]["lp"]["warm_mismatches"] == 0, r["report"]["lp"]
+print(f"restart smoke ok: warm hit with {r['warm_solves']} prior solves, "
+      f"applied {applied}")
 EOF

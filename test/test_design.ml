@@ -167,6 +167,33 @@ let prop_maximal_cliques_exact =
                (Mm_util.Ints.range n))
            (Mm_util.Ints.range n))
 
+(* The clique list, order included, as the quadratic definition gives
+   it: the live set at every start, deduplicated, minus the live sets
+   contained in another. The global ILP's capacity rows follow this
+   order. *)
+let prop_maximal_cliques_as_defined =
+  qtest "interval maximal cliques match the live-set definition"
+    lifetime_gen (fun params ->
+      let lt = random_lifetime params in
+      let n = Lifetime.num_segments lt in
+      let starts =
+        List.sort_uniq compare
+          (List.map (fun i -> (Lifetime.interval lt i).Lifetime.birth)
+             (Mm_util.Ints.range n))
+      in
+      let sets =
+        List.sort_uniq compare
+          (List.map (fun s -> List.sort compare (Lifetime.live_at lt s)) starts)
+      in
+      let subset a b = List.for_all (fun x -> List.mem x b) a in
+      let want =
+        List.filter
+          (fun s ->
+            s <> [] && not (List.exists (fun o -> o <> s && subset s o) sets))
+          sets
+      in
+      Lifetime.maximal_cliques lt = want)
+
 (* --- Dfg / Schedule --------------------------------------------------------------- *)
 
 let diamond () =
@@ -370,6 +397,7 @@ let () =
           Alcotest.test_case "max weight" `Quick test_lifetime_max_weight;
           prop_max_weight_equals_sweep;
           prop_maximal_cliques_exact;
+          prop_maximal_cliques_as_defined;
         ] );
       ( "dfg",
         [

@@ -30,6 +30,38 @@ let test_expr_add_term () =
   let e = Expr.add_term (Expr.var 3) 3 (-1.0) in
   Alcotest.(check int) "cancelled" 0 (Expr.num_terms e)
 
+(* [Expr.sum] must equal folding [Expr.add] over its operands bit for
+   bit: the formulation builders' coefficients (and the pinned MPS
+   digests) depend on the order of the additions. Decimal coefficients
+   round differently under a different order; opposite ones cancel
+   partial sums to zero mid-fold. *)
+let prop_expr_sum_is_fold_add =
+  let coeffs = [| 0.1; 0.2; 0.3; -0.1; -0.3; 0.7; 1e16; -1e16; 1.0; -1.0 |] in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 8)
+        (pair (float_range (-3.0) 3.0)
+           (list_size (int_range 0 6)
+              (pair (int_range 0 9) (int_range 0 (Array.length coeffs - 1))))))
+  in
+  qtest ~count:300 "sum is a left fold of add, bit for bit"
+    (QCheck.make gen) (fun spec ->
+      let es =
+        List.map
+          (fun (k, ts) ->
+            List.fold_left
+              (fun e (i, c) -> Expr.add e (Expr.var ~coeff:coeffs.(c) i))
+              (Expr.const k) ts)
+          spec
+      in
+      let bits e =
+        ( Int64.bits_of_float (Expr.constant e),
+          List.map
+            (fun (i, c) -> (i, Int64.bits_of_float c))
+            (Expr.terms e) )
+      in
+      bits (Expr.sum es) = bits (List.fold_left Expr.add Expr.zero es))
+
 (* --- Model / Problem ------------------------------------------------------ *)
 
 let test_model_build () =
@@ -445,7 +477,7 @@ let prop_refactorize_preserves_primal =
       match Simplex.solve s with
       | Simplex.Optimal ->
           let x0 = Simplex.primal s and o0 = Simplex.objective s in
-          Simplex.refactorize s;
+          Simplex.refactor s;
           let x1 = Simplex.primal s and o1 = Simplex.objective s in
           let drift = ref 0.0 in
           Array.iteri
@@ -1044,18 +1076,20 @@ let test_solver_without_presolve_or_cuts () =
    Table-3 point 0 has a root basis to persist; a corrupt copy must fail
    to load (at worst it raised out of [Solver.solve], or proved a wrong
    optimum when the status marked extra variables basic). *)
-let test_solver_rejects_corrupt_warm_basis () =
-  let module J = Mm_obs.Json in
+let global_point0 () =
   let board, design =
     Mm_workload.Gen.instance
       (List.hd Mm_workload.Table3.points).Mm_workload.Table3.spec
   in
-  let p =
-    match Mm_mapping.Global_ilp.build board design with
-    | Ok b -> b.Mm_mapping.Global_ilp.problem
-    | Error e -> Alcotest.fail e
-  in
-  let objective (r : Solver.result) = r.Solver.mip.Branch_bound.objective in
+  match Mm_mapping.Global_ilp.build board design with
+  | Ok b -> b.Mm_mapping.Global_ilp.problem
+  | Error e -> Alcotest.fail e
+
+let objective (r : Solver.result) = r.Solver.mip.Branch_bound.objective
+
+let test_solver_rejects_corrupt_warm_basis () =
+  let module J = Mm_obs.Json in
+  let p = global_point0 () in
   let w = Solver.warm () in
   let cold = Solver.solve ~warm:w p in
   Alcotest.(check bool) "training kept a basis" true (Solver.warm_has_basis w);
@@ -1112,6 +1146,124 @@ let test_solver_rejects_corrupt_warm_basis () =
     ~status:(String.mapi (fun i c -> if i = nonbasic then '3' else c) status);
   rejects "a status one variable short" ~b
     ~status:(String.sub status 0 (String.length status - 1))
+
+(* A warm state belongs to the problem and options that trained it.
+   Trained on global Table-3 point 0 and handed a problem of the same
+   size, it must be wiped, counted and solved cold. Guarded by
+   dimensions only, the objective vector reversed reused the original's
+   presolve and reported "optimal" at 205,319 where a cold solve proves
+   117,960. *)
+let check_warm_mismatch what ?(options = Solver.default_options) q =
+  let w = Solver.warm () in
+  ignore (Solver.solve ~warm:w (global_point0 ()));
+  let cold = Solver.solve ~options q in
+  let r = Solver.solve ~options ~warm:w q in
+  Alcotest.(check (option (float 1e-6)))
+    (what ^ ": cold objective") (objective cold) (objective r);
+  Alcotest.(check int)
+    (what ^ ": one mismatch") 1 r.Solver.stats.Solver.warm_mismatches;
+  Alcotest.(check (list string))
+    (what ^ ": nothing warm applied") [] r.Solver.stats.Solver.warm_applied;
+  (* the wiped state now belongs to [q]: the next solve of [q] is warm *)
+  let again = Solver.solve ~options ~warm:w q in
+  Alcotest.(check int)
+    (what ^ ": retrained") 0 again.Solver.stats.Solver.warm_mismatches;
+  Alcotest.(check (option (float 1e-6)))
+    (what ^ ": retrained objective") (objective cold) (objective again)
+
+let test_warm_mismatch_reversed_objective () =
+  let p = global_point0 () in
+  let n = p.Problem.ncols in
+  let q =
+    { p with Problem.obj = Array.init n (fun j -> p.Problem.obj.(n - 1 - j)) }
+  in
+  check_warm_mismatch "reversed objective" q;
+  Alcotest.(check (option (float 1e-6)))
+    "the reversed optimum" (Some 117_960.0)
+    (objective (Solver.solve q))
+
+(* one matrix coefficient: the optimum's first chosen variable gets a 2
+   in its uniqueness row, so it can no longer be chosen alone *)
+let test_warm_mismatch_one_coefficient () =
+  let p = global_point0 () in
+  let x = Option.get (Solver.solve p).Solver.mip.Branch_bound.solution in
+  let j =
+    let rec first j = if x.(j) > 0.5 then j else first (j + 1) in
+    first 0
+  in
+  let r = (fst p.Problem.cols.(j)).(0) in
+  let set (idx, v) k =
+    let v = Array.copy v in
+    Array.iteri (fun i k' -> if k' = k then v.(i) <- 2.0) idx;
+    (idx, v)
+  in
+  let cols = Array.copy p.Problem.cols and rows = Array.copy p.Problem.rows in
+  cols.(j) <- set cols.(j) r;
+  rows.(r) <- set rows.(r) j;
+  let q = { p with Problem.cols; rows } in
+  Alcotest.(check bool) "the change moves the optimum" true
+    (objective (Solver.solve q) <> objective (Solver.solve p));
+  check_warm_mismatch "one coefficient" q
+
+let test_warm_mismatch_other_options () =
+  check_warm_mismatch "separators off"
+    ~options:(Solver.options ~separators:[] ())
+    (global_point0 ())
+
+(* Cuts stay in memory: a state read back from JSON re-separates on its
+   first solve (no "cuts") and carries the root from then on. *)
+let test_warm_round_trip_reseparates () =
+  let p = global_point0 () in
+  let cold = Solver.solve p in
+  let w = Solver.warm () in
+  ignore (Solver.solve ~warm:w p);
+  let applied (r : Solver.result) = r.Solver.stats.Solver.warm_applied in
+  Alcotest.(check bool) "in-process repeat carries the root" true
+    (List.mem "cuts" (applied (Solver.solve ~warm:w p)));
+  match Solver.warm_of_json (Solver.warm_to_json w) with
+  | Error e -> Alcotest.failf "round trip rejected: %s" e
+  | Ok w' ->
+      let first = Solver.solve ~warm:w' p in
+      Alcotest.(check (option (float 1e-6)))
+        "resumed objective" (objective cold) (objective first);
+      Alcotest.(check int) "digest survives" 0
+        first.Solver.stats.Solver.warm_mismatches;
+      Alcotest.(check bool) "first resumed solve re-separates" false
+        (List.mem "cuts" (applied first));
+      Alcotest.(check bool) "reloaded basis applies" true
+        (List.mem "basis" (applied first));
+      let second = Solver.solve ~warm:w' p in
+      Alcotest.(check (option (float 1e-6)))
+        "carried objective" (objective cold) (objective second);
+      Alcotest.(check bool) "then carries the root" true
+        (List.mem "cuts" (applied second)
+        && List.mem "incumbent" (applied second))
+
+(* Cold, twice-warm and foreign-warm solves agree. The foreign state is
+   trained on another random program of the same size, which a guard on
+   dimensions alone lets through. *)
+let prop_warm_agrees_with_cold =
+  qtest ~count:150 "cold, twice-warm and foreign-warm solves agree"
+    random_bip_gen (fun ((n, mrows, seed) as params) ->
+      let p = build_random_bip params in
+      let q = build_random_bip (n, mrows, seed + 1) in
+      let same a b =
+        match (objective a, objective b) with
+        | None, None -> true
+        | Some a, Some b -> Float.abs (a -. b) <= 1e-6
+        | _ -> false
+      in
+      let cold = Solver.solve p in
+      let w = Solver.warm () in
+      ignore (Solver.solve ~warm:w p);
+      ignore (Solver.solve ~warm:w p);
+      let hot = Solver.solve ~warm:w p in
+      let foreign = Solver.warm () in
+      ignore (Solver.solve ~warm:foreign q);
+      let trained = Solver.warm_solves foreign > 0 in
+      let r = Solver.solve ~warm:foreign p in
+      same cold hot && same cold r
+      && (p = q || (not trained) || r.Solver.stats.Solver.warm_mismatches = 1))
 
 let test_solver_presolve_verdicts () =
   let solve sense build =
@@ -2288,6 +2440,7 @@ let () =
           Alcotest.test_case "combinators" `Quick test_expr_combinators;
           Alcotest.test_case "map_vars" `Quick test_expr_map_vars;
           Alcotest.test_case "add_term cancel" `Quick test_expr_add_term;
+          prop_expr_sum_is_fold_add;
         ] );
       ( "model",
         [
@@ -2353,6 +2506,15 @@ let () =
             test_solver_presolve_verdicts;
           Alcotest.test_case "corrupt warm basis rejected" `Quick
             test_solver_rejects_corrupt_warm_basis;
+          Alcotest.test_case "warm mismatch: reversed objective" `Quick
+            test_warm_mismatch_reversed_objective;
+          Alcotest.test_case "warm mismatch: one coefficient" `Quick
+            test_warm_mismatch_one_coefficient;
+          Alcotest.test_case "warm mismatch: other options" `Quick
+            test_warm_mismatch_other_options;
+          Alcotest.test_case "warm round trip re-separates" `Quick
+            test_warm_round_trip_reseparates;
+          prop_warm_agrees_with_cold;
         ] );
       ( "parallel",
         [

@@ -903,6 +903,73 @@ let test_table3_complete_counts_pinned () =
           check "flips" flips lp.Mm_lp.Simplex.flips)
     pinned
 
+(* The formulation builders' output, exactly: one digest over the MPS
+   text of all nine Table-3 points, per method. A faster builder must
+   keep every row, column, bound and coefficient and their order. *)
+let test_table3_formulations_pinned () =
+  let digest build =
+    List.init (List.length Mm_workload.Table3.points) (fun i ->
+        let board, design = table3_instance i in
+        match build board design with
+        | Ok p -> Mm_lp.Mps.to_string p
+        | Error e -> Alcotest.failf "point %d: %s" i e)
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  let global b d =
+    Result.map (fun x -> x.Global_ilp.problem) (Global_ilp.build b d)
+  in
+  let complete b d =
+    Result.map (fun x -> x.Complete_ilp.problem) (Complete_ilp.build b d)
+  in
+  Alcotest.(check string)
+    "global MPS digest" "4582a547b010195bf9f051fdd51e23e6" (digest global);
+  Alcotest.(check string)
+    "complete MPS digest" "3c2e3be8820618f3a5637ef3a34f6828"
+    (digest complete)
+
+(* Hot solves resume from the last root: on every global Table-3 point
+   and on complete points 0-6, the third solve with one warm state
+   carries the root cuts and the incumbent and proves the cold
+   objective. *)
+let test_table3_hot_solves_carry_the_root () =
+  let check what build =
+    let p =
+      match build with Ok p -> p | Error e -> Alcotest.failf "%s: %s" what e
+    in
+    let objective (r : Mm_lp.Solver.result) =
+      r.Mm_lp.Solver.mip.Mm_lp.Branch_bound.objective
+    in
+    let cold = Mm_lp.Solver.solve p in
+    let w = Mm_lp.Solver.warm () in
+    ignore (Mm_lp.Solver.solve ~warm:w p);
+    ignore (Mm_lp.Solver.solve ~warm:w p);
+    let hot = Mm_lp.Solver.solve ~warm:w p in
+    Alcotest.(check (option (float 1e-6)))
+      (what ^ " objective") (objective cold) (objective hot);
+    let applied = hot.Mm_lp.Solver.stats.Mm_lp.Solver.warm_applied in
+    List.iter
+      (fun c ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s carries %s" what c)
+          true (List.mem c applied))
+      [ "cuts"; "incumbent" ]
+  in
+  List.iteri
+    (fun i _ ->
+      let board, design = table3_instance i in
+      check
+        (Printf.sprintf "global %d" i)
+        (Result.map
+           (fun b -> b.Global_ilp.problem)
+           (Global_ilp.build board design));
+      if i <= 6 then
+        check
+          (Printf.sprintf "complete %d" i)
+          (Result.map
+             (fun b -> b.Complete_ilp.problem)
+             (Complete_ilp.build board design)))
+    Mm_workload.Table3.points
+
 let test_warm_resolve_allocation () =
   (* One branch-and-bound style re-solve: complete point 1's LP
      relaxation, optimal, then its first fractional column fixed at 0
@@ -1303,6 +1370,10 @@ let () =
         [
           Alcotest.test_case "table3 complete counts pinned" `Quick
             test_table3_complete_counts_pinned;
+          Alcotest.test_case "table3 formulations pinned" `Quick
+            test_table3_formulations_pinned;
+          Alcotest.test_case "table3 hot solves carry the root" `Quick
+            test_table3_hot_solves_carry_the_root;
           Alcotest.test_case "warm re-solve allocation" `Quick
             test_warm_resolve_allocation;
         ] );
