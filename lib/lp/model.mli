@@ -24,8 +24,8 @@ val binary : t -> ?name:string -> ?obj:float -> unit -> var
 (** Shorthand for [add_var t Binary]. *)
 
 val num_vars : t -> int
-val num_constraints : t -> int
 val var_name : t -> var -> string
+(** The name given at {!add_var} time, in O(1). *)
 
 val add_le : t -> ?name:string -> Expr.t -> float -> unit
 (** [add_le t e rhs] adds [e <= rhs]. Constant terms of [e] are moved to
@@ -44,9 +44,8 @@ val set_objective : t -> sense -> Expr.t -> unit
     Default: minimize 0. *)
 
 val add_objective_term : t -> Expr.t -> unit
-(** Adds to the current objective, preserving the sense. *)
-
-val objective_sense : t -> sense
+(** Adds to the current objective, preserving the sense. O(1): the terms
+    are summed once, by {!to_problem}. *)
 
 val to_problem : t -> Problem.t
 (** Freezes the model. The builder remains usable afterwards. *)

@@ -135,10 +135,11 @@ let parse text =
   let rows : (string, prow) Hashtbl.t = Hashtbl.create 64 in
   let row_order = ref [] in
   let obj_row = ref None in
-  (* columns: name -> (index, coeffs (row, v) list, integral) *)
   let model = Model.create ~name:"mps" () in
   let cols : (string, Model.var) Hashtbl.t = Hashtbl.create 64 in
-  let col_terms : (string, (string * float) list ref) Hashtbl.t = Hashtbl.create 64 in
+  (* row name -> its COLUMNS entries, last first: one bucket per row,
+     so assembly costs O(nnz) *)
+  let row_terms : (string, Expr.t list) Hashtbl.t = Hashtbl.create 64 in
   let col_int : (string, bool) Hashtbl.t = Hashtbl.create 64 in
   let col_bounds : (string, float option * float option) Hashtbl.t = Hashtbl.create 64 in
   let col_order = ref [] in
@@ -147,7 +148,6 @@ let parse text =
     if not (Hashtbl.mem cols name) then begin
       Hashtbl.replace cols name (Model.add_var model ~name Problem.Continuous);
       (* placeholder; real kinds/bounds resolved at the end *)
-      Hashtbl.replace col_terms name (ref []);
       Hashtbl.replace col_int name !in_int;
       col_order := name :: !col_order
     end
@@ -206,8 +206,10 @@ let parse text =
                                   Model.add_objective_term model
                                     (Expr.var ~coeff:v (Hashtbl.find cols col))
                                 else if Hashtbl.mem rows rname then
-                                  (Hashtbl.find col_terms col) :=
-                                    (rname, v) :: !(Hashtbl.find col_terms col)
+                                  Hashtbl.replace row_terms rname
+                                    (Expr.var ~coeff:v (Hashtbl.find cols col)
+                                    :: Option.value ~default:[]
+                                         (Hashtbl.find_opt row_terms rname))
                                 else fail lineno "unknown row %s" rname;
                                 eat rest)
                         | _ -> fail lineno "odd COLUMNS entry"
@@ -317,14 +319,13 @@ let parse text =
       List.iter
         (fun rname ->
           let pr = Hashtbl.find rows rname in
-          let terms = ref [] in
-          Hashtbl.iter
-            (fun cname var ->
-              List.iter
-                (fun (rn, v) -> if rn = rname then terms := Expr.var ~coeff:v var :: !terms)
-                !(Hashtbl.find col_terms cname))
-            cols;
-          let e = Expr.sum !terms in
+          (* in file order, so duplicate (row, column) entries add up in
+             the order they were written *)
+          let e =
+            Expr.sum
+              (List.rev
+                 (Option.value ~default:[] (Hashtbl.find_opt row_terms rname)))
+          in
           match (pr.pr_kind, pr.pr_range) with
           | 'L', None -> Model.add_le model ~name:rname e pr.pr_rhs
           | 'L', Some rg ->

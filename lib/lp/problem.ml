@@ -165,56 +165,60 @@ let validate p =
         !bad);
     ]
 
+(* The new rows have the largest indices, so each of their entries goes
+   at the end of its column: only the columns they touch are copied, and
+   every other column array is shared with [p], as the bounds are. *)
 let extend_rows p extra =
   let extra =
     List.map
       (fun (name, terms, lo, hi) ->
         let terms = List.sort (fun (a, _) (b, _) -> compare a b) terms in
         let terms = List.filter (fun (_, c) -> c <> 0.0) terms in
-        (name, terms, lo, hi))
+        ( name,
+          (Array.of_list (List.map fst terms), Array.of_list (List.map snd terms)),
+          lo,
+          hi ))
       extra
   in
-  let k = List.length extra in
-  let nrows = p.nrows + k in
-  let rows = Array.make nrows ([||], [||]) in
-  Array.blit p.rows 0 rows 0 p.nrows;
-  let row_lb = Array.make nrows 0.0 and row_ub = Array.make nrows 0.0 in
-  Array.blit p.row_lb 0 row_lb 0 p.nrows;
-  Array.blit p.row_ub 0 row_ub 0 p.nrows;
-  let row_names = Array.make nrows "" in
-  Array.blit p.row_names 0 row_names 0 p.nrows;
-  List.iteri
-    (fun i (name, terms, lo, hi) ->
-      let r = p.nrows + i in
-      rows.(r) <-
-        (Array.of_list (List.map fst terms), Array.of_list (List.map snd terms));
-      row_lb.(r) <- lo;
-      row_ub.(r) <- hi;
-      row_names.(r) <- name)
+  let append a f = Array.append a (Array.of_list (List.map f extra)) in
+  (* [added.(j)] counts column [j]'s new entries, then becomes the
+     position its next one is written at *)
+  let added = Array.make p.ncols 0 in
+  List.iter
+    (fun (_, (idx, _), _, _) -> Array.iter (fun j -> added.(j) <- added.(j) + 1) idx)
     extra;
-  (* rebuild columns *)
-  let counts = Array.make p.ncols 0 in
-  Array.iter (fun (idx, _) -> Array.iter (fun j -> counts.(j) <- counts.(j) + 1) idx) rows;
-  let cidx = Array.init p.ncols (fun j -> Array.make counts.(j) 0) in
-  let cval = Array.init p.ncols (fun j -> Array.make counts.(j) 0.0) in
-  let fill = Array.make p.ncols 0 in
-  Array.iteri
-    (fun r (idx, v) ->
+  let cols =
+    Array.mapi
+      (fun j ((idx, v) as col) ->
+        if added.(j) = 0 then col
+        else
+          let len = Array.length idx in
+          let idx' = Array.make (len + added.(j)) 0 in
+          let v' = Array.make (len + added.(j)) 0.0 in
+          Array.blit idx 0 idx' 0 len;
+          Array.blit v 0 v' 0 len;
+          added.(j) <- len;
+          (idx', v'))
+      p.cols
+  in
+  List.iteri
+    (fun i (_, (idx, v), _, _) ->
       Array.iteri
         (fun s j ->
-          cidx.(j).(fill.(j)) <- r;
-          cval.(j).(fill.(j)) <- v.(s);
-          fill.(j) <- fill.(j) + 1)
+          let cidx, cval = cols.(j) in
+          cidx.(added.(j)) <- p.nrows + i;
+          cval.(added.(j)) <- v.(s);
+          added.(j) <- added.(j) + 1)
         idx)
-    rows;
+    extra;
   {
     p with
-    nrows;
-    rows;
-    row_lb;
-    row_ub;
-    row_names;
-    cols = Array.init p.ncols (fun j -> (cidx.(j), cval.(j)));
+    nrows = p.nrows + List.length extra;
+    rows = append p.rows (fun (_, row, _, _) -> row);
+    row_lb = append p.row_lb (fun (_, _, lo, _) -> lo);
+    row_ub = append p.row_ub (fun (_, _, _, hi) -> hi);
+    row_names = append p.row_names (fun (name, _, _, _) -> name);
+    cols;
   }
 
 let pp_stats fmt p =

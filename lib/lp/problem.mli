@@ -1,5 +1,13 @@
 (** Immutable standard-form problem produced by {!Model.to_problem}.
 
+    No code writes into a problem's [cols] or [rows] arrays, nor into
+    the index and coefficient arrays they hold: problems derived from
+    one another share them ({!extend_rows} shares every column its new
+    rows do not touch, {!Model.to_problem} may share a row with the
+    expression it came from). The only in-place writes are the MPS and
+    LP parsers patching [col_lb], [col_ub] and [kind] of a problem they
+    have just built and not yet returned.
+
     minimize [obj . x + obj_const] subject to
     [row_lb <= A x <= row_ub] and [col_lb <= x <= col_ub],
     with integrality restrictions given by [kind]. Equality rows have
@@ -81,5 +89,9 @@ val pp_stats : Format.formatter -> t -> unit
 
 val extend_rows : t -> (string * (int * float) list * float * float) list -> t
 (** [extend_rows p rows] appends rows given as
-    [(name, terms, lb, ub)]; terms need not be sorted. Used to add
-    cutting planes. *)
+    [(name, terms, lb, ub)]; terms need not be sorted, and zero
+    coefficients are dropped. Used to add cutting planes. The result
+    equals re-transposing the extended rows, but only the columns the
+    new rows touch are copied: the rest, and [obj], the column bounds,
+    [kind] and the existing rows, are shared with [p], which is left
+    unchanged. *)

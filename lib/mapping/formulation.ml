@@ -66,8 +66,12 @@ let solve_built ?solver_options ?warm ~build_seconds problem read =
 
 let solve (type s) (fm : s t) ?solver_options ?warm c =
   let module F = (val fm : S with type solution = s) in
+  let snk =
+    let o = Option.value solver_options ~default:Solver.default_options in
+    Mm_obs.Trace.root o.Solver.bb.Branch_bound.trace
+  in
   let t0 = Unix.gettimeofday () in
-  match F.build c with
+  match Mm_obs.Trace.span snk "build" (fun () -> F.build c) with
   | Error msg -> Error (Build_failed msg, None)
   | Ok (problem, read) ->
       solve_built ?solver_options ?warm

@@ -93,7 +93,9 @@ val solve :
   ?warm:Mm_lp.Solver.warm ->
   ctx ->
   ('s * stats, error * stats option) result
-(** [solve (module F) ctx] = [F.build] + {!solve_built}. [?warm] is
+(** [solve (module F) ctx] = [F.build] + {!solve_built}. The build is
+    traced as the [build] span on the root sink of the solver options'
+    trace, beside the solver's own [solve] span. [?warm] is
     handed straight to {!Mm_lp.Solver.solve} — only pass state trained
     on the {e same} built problem (same board, design and knobs, no
     no-good cuts). *)

@@ -17,18 +17,7 @@ let test_expr_combinators () =
   Alcotest.(check int) "self-sub cancels" 0 (Expr.num_terms e2);
   let e3 = Expr.scale 2.0 e in
   Alcotest.(check (float 0.0)) "scaled" 4.0 (Expr.coeff e3 1);
-  Alcotest.(check (float 1e-9)) "eval" 8.0
-    (Expr.eval (fun i -> float_of_int (i + 1)) e)
-
-let test_expr_map_vars () =
-  let e = Expr.(add (var 0) (var 1)) in
-  let merged = Expr.map_vars (fun _ -> 5) e in
-  Alcotest.(check (float 0.0)) "merged coeff" 2.0 (Expr.coeff merged 5);
-  Alcotest.(check int) "one term" 1 (Expr.num_terms merged)
-
-let test_expr_add_term () =
-  let e = Expr.add_term (Expr.var 3) 3 (-1.0) in
-  Alcotest.(check int) "cancelled" 0 (Expr.num_terms e)
+  Alcotest.(check (float 0.0)) "scaled const" 6.0 (Expr.constant e3)
 
 (* [Expr.sum] must equal folding [Expr.add] over its operands bit for
    bit: the formulation builders' coefficients (and the pinned MPS
@@ -61,6 +50,100 @@ let prop_expr_sum_is_fold_add =
             (Expr.terms e) )
       in
       bits (Expr.sum es) = bits (List.fold_left Expr.add Expr.zero es))
+
+(* The array-backed [Expr] against the map-based version it replaced
+   ([Ref_expr]): random programs of every combinator must give the same
+   terms, constant and per-variable coefficients, bit for bit. Operands
+   arrive unsorted and with duplicates, opposite coefficients cancel
+   exactly, and scaling by a tiny factor underflows a coefficient to a
+   stored zero. *)
+type expr_prog =
+  | P_var of int * float
+  | P_const of float
+  | P_add of expr_prog * expr_prog
+  | P_sub of expr_prog * expr_prog
+  | P_neg of expr_prog
+  | P_scale of float * expr_prog
+  | P_sum of expr_prog list
+
+module type EXPR_OPS = sig
+  type t
+
+  val const : float -> t
+  val var : ?coeff:float -> int -> t
+  val add : t -> t -> t
+  val sub : t -> t -> t
+  val scale : float -> t -> t
+  val neg : t -> t
+  val sum : t list -> t
+  val constant : t -> float
+  val coeff : t -> int -> float
+  val terms : t -> (int * float) list
+  val num_terms : t -> int
+end
+
+module Expr_bits (E : EXPR_OPS) = struct
+  let rec run = function
+    | P_var (i, c) -> E.var ~coeff:c i
+    | P_const c -> E.const c
+    | P_add (a, b) -> E.add (run a) (run b)
+    | P_sub (a, b) -> E.sub (run a) (run b)
+    | P_neg a -> E.neg (run a)
+    | P_scale (k, a) -> E.scale k (run a)
+    | P_sum ps -> E.sum (List.map run ps)
+
+  let bits prog =
+    let e = run prog and b = Int64.bits_of_float in
+    ( b (E.constant e),
+      List.map (fun (i, c) -> (i, b c)) (E.terms e),
+      List.init 10 (fun i -> b (E.coeff e i)),
+      E.num_terms e )
+end
+
+module New_bits = Expr_bits (Expr)
+module Ref_bits = Expr_bits (Ref_expr)
+
+let prop_expr_matches_map_reference =
+  let coeffs =
+    [| 0.1; 0.2; 0.3; -0.1; -0.3; 0.7; 1e16; -1e16; 1.0; -1.0; 0.0; -0.0; 1e-200; -1e-200 |]
+  in
+  let factors = [| 2.0; -1.0; 0.5; 0.1; 1e-200; 0.0; -0.0 |] in
+  let pick a = QCheck.Gen.(map (fun k -> a.(k)) (int_range 0 (Array.length a - 1))) in
+  let gen =
+    QCheck.Gen.(
+      sized_size (int_range 0 4)
+      @@ fix (fun self n ->
+             let leaf =
+               frequency
+                 [
+                   (4, map2 (fun i c -> P_var (i, c)) (int_range 0 9) (pick coeffs));
+                   (1, map (fun c -> P_const c) (pick coeffs));
+                 ]
+             in
+             if n = 0 then leaf
+             else
+               let sub = self (n - 1) in
+               frequency
+                 [
+                   (2, leaf);
+                   (2, map2 (fun a b -> P_add (a, b)) sub sub);
+                   (1, map2 (fun a b -> P_sub (a, b)) sub sub);
+                   (1, map (fun a -> P_neg a) sub);
+                   (1, map2 (fun k a -> P_scale (k, a)) (pick factors) sub);
+                   (2, map (fun ps -> P_sum ps) (list_size (int_range 0 6) sub));
+                 ]))
+  in
+  let rec print = function
+    | P_var (i, c) -> Printf.sprintf "var(%d,%h)" i c
+    | P_const c -> Printf.sprintf "const(%h)" c
+    | P_add (a, b) -> Printf.sprintf "add(%s,%s)" (print a) (print b)
+    | P_sub (a, b) -> Printf.sprintf "sub(%s,%s)" (print a) (print b)
+    | P_neg a -> Printf.sprintf "neg(%s)" (print a)
+    | P_scale (k, a) -> Printf.sprintf "scale(%h,%s)" k (print a)
+    | P_sum ps -> Printf.sprintf "sum[%s]" (String.concat ";" (List.map print ps))
+  in
+  qtest ~count:2000 "array Expr matches the map reference, bit for bit"
+    (QCheck.make ~print gen) (fun prog -> New_bits.bits prog = Ref_bits.bits prog)
 
 (* --- Model / Problem ------------------------------------------------------ *)
 
@@ -2154,7 +2237,22 @@ let test_mps_parse_small () =
       let s = Simplex.create p in
       Alcotest.(check bool) "solves" true (Simplex.solve s = Simplex.Optimal);
       (* min x + 3y st 2x + y <= 10, x >= 1, x <= 5 -> x = 1, y = 0 *)
-      Alcotest.(check (float 1e-6)) "objective" 1.0 (Simplex.objective s)
+      Alcotest.(check (float 1e-6)) "objective" 1.0 (Simplex.objective s);
+      (* repeated (row, column) entries add up in the order written:
+         (0.1 + 0.2) + 0.3, which differs from 0.3 + 0.2 + 0.1 in the
+         last bit; objective entries likewise *)
+      let text =
+        "NAME t\nROWS\n N obj\n L c1\nCOLUMNS\n x c1 0.1 obj 0.1\n\
+         \ x c1 0.2 obj 0.2\n x c1 0.3 obj 0.3\nRHS\n rhs c1 1\nENDATA\n"
+      in
+      let in_order = 0.1 +. 0.2 +. 0.3 in
+      match Mps.parse text with
+      | Error e -> Alcotest.fail e
+      | Ok q ->
+          Alcotest.(check bool) "row entries in file order" true
+            (q.Problem.rows.(0) = ([| 0 |], [| in_order |]));
+          Alcotest.(check bool) "objective entries in file order" true
+            (q.Problem.obj.(0) = in_order)
 
 let test_mps_parse_errors () =
   (match Mps.parse "garbage\n" with
@@ -2405,18 +2503,6 @@ let test_lp_format () =
   Alcotest.(check bool) "end" true (has "End")
 
 
-let test_expr_pp () =
-  let e = Expr.(add (var ~coeff:2.5 0) (add (var ~coeff:(-1.0) 1) (const 3.0))) in
-  let str = Format.asprintf "%a" (Expr.pp (Printf.sprintf "v%d")) e in
-  let has sub =
-    let nh = String.length str and nn = String.length sub in
-    let rec scan i = i + nn <= nh && (String.sub str i nn = sub || scan (i + 1)) in
-    scan 0
-  in
-  Alcotest.(check bool) "coefficient" true (has "2.5 v0");
-  Alcotest.(check bool) "negated" true (has "- v1");
-  Alcotest.(check bool) "constant" true (has "3")
-
 let test_lp_format_coefficients () =
   let m = Model.create () in
   let x = Model.add_var m ~name:"x" Problem.Continuous in
@@ -2432,21 +2518,71 @@ let test_lp_format_coefficients () =
   Alcotest.(check bool) "rhs" true (has "7.5");
   Alcotest.(check bool) "objective coefficient" true (has "0.25 x")
 
+(* [extend_rows] copies only the columns its new rows touch: the result
+   must equal re-transposing all its rows, every other column array must
+   be the input's own, and the input must be left as it was. The new
+   rows come unsorted, with a zero coefficient and a repeated column. *)
+let test_problem_extend_rows_appends () =
+  let transpose (p : Problem.t) =
+    let cols = Array.make p.Problem.ncols [] in
+    for r = p.Problem.nrows - 1 downto 0 do
+      let idx, v = p.Problem.rows.(r) in
+      for k = Array.length idx - 1 downto 0 do
+        cols.(idx.(k)) <- (r, v.(k)) :: cols.(idx.(k))
+      done
+    done;
+    Array.map
+      (fun es -> (Array.of_list (List.map fst es), Array.of_list (List.map snd es)))
+      cols
+  in
+  List.iter
+    (fun seed ->
+      let p = build_random_bip (9, 4, seed) in
+      let deep (q : Problem.t) =
+        ( Array.map (fun (i, v) -> (Array.copy i, Array.copy v)) q.Problem.cols,
+          Array.map (fun (i, v) -> (Array.copy i, Array.copy v)) q.Problem.rows,
+          (q.Problem.nrows, Array.copy q.Problem.row_lb, Array.copy q.Problem.row_ub) )
+      in
+      let before = deep p in
+      let extra =
+        [
+          ("a", [ (7, 2.0); (1, -1.0); (4, 0.0); (1, 3.0) ], neg_infinity, 4.0);
+          ("b", [ (3, 1.5); (7, 1.0) ], 1.0, infinity);
+          ("empty", [], 0.0, 0.0);
+        ]
+      in
+      let q = Problem.extend_rows p extra in
+      Alcotest.(check int) "rows" (p.Problem.nrows + 3) q.Problem.nrows;
+      Alcotest.(check bool) "equals a full re-transpose" true
+        (q.Problem.cols = transpose q);
+      Alcotest.(check bool) "new row sorted, zero dropped" true
+        (q.Problem.rows.(p.Problem.nrows) = ([| 1; 1; 7 |], [| -1.0; 3.0; 2.0 |]));
+      Array.iteri
+        (fun j col ->
+          let touched = List.mem j [ 1; 3; 7 ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "column %d shared iff untouched" j)
+            (not touched) (col == p.Problem.cols.(j)))
+        q.Problem.cols;
+      Alcotest.(check bool) "input unchanged" true (deep p = before))
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "mm_lp"
     [
       ( "expr",
         [
           Alcotest.test_case "combinators" `Quick test_expr_combinators;
-          Alcotest.test_case "map_vars" `Quick test_expr_map_vars;
-          Alcotest.test_case "add_term cancel" `Quick test_expr_add_term;
           prop_expr_sum_is_fold_add;
+          prop_expr_matches_map_reference;
         ] );
       ( "model",
         [
           Alcotest.test_case "build" `Quick test_model_build;
           Alcotest.test_case "feasibility" `Quick test_problem_feasibility;
           Alcotest.test_case "extend rows" `Quick test_problem_extend_rows;
+          Alcotest.test_case "extend rows appends" `Quick
+            test_problem_extend_rows_appends;
         ] );
       ( "simplex",
         [
@@ -2562,7 +2698,6 @@ let () =
         [
           Alcotest.test_case "writer" `Quick test_lp_format;
           Alcotest.test_case "coefficients" `Quick test_lp_format_coefficients;
-          Alcotest.test_case "expr pp" `Quick test_expr_pp;
           Alcotest.test_case "parse small" `Quick test_lp_parse_small;
           Alcotest.test_case "parse free/max" `Quick test_lp_parse_free_and_max;
           Alcotest.test_case "parse errors" `Quick test_lp_parse_errors;

@@ -927,6 +927,60 @@ let test_table3_formulations_pinned () =
     "complete MPS digest" "3c2e3be8820618f3a5637ef3a34f6828"
     (digest complete)
 
+(* Both parsers read back every Table-3 model, global and complete, to
+   the same problem: re-emitting the parsed model gives the MPS text it
+   came from, byte for byte. The LP writer names a one-sided row
+   [name_u] or [name_l] (it would split a ranged row in two; these
+   models have none), so the LP read-back is compared with the MPS of
+   the model under those names. Complete point 8 is a 4.5 MB MPS file
+   with 117k nonzeros, so a parser that is not linear in its input
+   shows here as a stall. *)
+let test_table3_models_round_trip () =
+  List.iteri
+    (fun i _ ->
+      let board, design = table3_instance i in
+      let check what build =
+        let p =
+          match build with
+          | Ok p -> p
+          | Error e -> Alcotest.failf "%s %d: %s" what i e
+        in
+        let mps = Mm_lp.Mps.to_string p in
+        let reemit via parse text =
+          match parse text with
+          | Ok q -> Mm_lp.Mps.to_string q
+          | Error e -> Alcotest.failf "%s %d via %s: %s" what i via e
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %d: MPS read-back re-emits the same MPS" what i)
+          true
+          (reemit "MPS" Mm_lp.Mps.parse mps = mps);
+        let lp_names =
+          Array.mapi
+            (fun r name ->
+              let lo = p.Mm_lp.Problem.row_lb.(r)
+              and hi = p.Mm_lp.Problem.row_ub.(r) in
+              if lo = hi then name
+              else if Float.is_finite lo && Float.is_finite hi then
+                Alcotest.failf "%s %d: ranged row %s" what i name
+              else if Float.is_finite hi then name ^ "_u"
+              else name ^ "_l")
+            p.Mm_lp.Problem.row_names
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %d: LP read-back re-emits the same MPS" what i)
+          true
+          (reemit "LP" Mm_lp.Lp_format.parse (Mm_lp.Lp_format.to_string p)
+          = Mm_lp.Mps.to_string { p with Mm_lp.Problem.row_names = lp_names })
+      in
+      check "global"
+        (Result.map (fun x -> x.Global_ilp.problem) (Global_ilp.build board design));
+      check "complete"
+        (Result.map
+           (fun x -> x.Complete_ilp.problem)
+           (Complete_ilp.build board design)))
+    Mm_workload.Table3.points
+
 (* Hot solves resume from the last root: on every global Table-3 point
    and on complete points 0-6, the third solve with one warm state
    carries the root cuts and the incumbent and proves the cold
@@ -1374,6 +1428,8 @@ let () =
             test_table3_formulations_pinned;
           Alcotest.test_case "table3 hot solves carry the root" `Quick
             test_table3_hot_solves_carry_the_root;
+          Alcotest.test_case "table3 models round trip" `Quick
+            test_table3_models_round_trip;
           Alcotest.test_case "warm re-solve allocation" `Quick
             test_warm_resolve_allocation;
         ] );
